@@ -4,6 +4,8 @@
 // throughput.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "src/common/field.hpp"
 #include "src/coloring/palette.hpp"
 #include "src/graph/generators.hpp"
@@ -73,15 +75,19 @@ void bm_ledger_charge(benchmark::State& state) {
 }
 BENCHMARK(bm_ledger_charge);
 
-void bm_gfpoly_eval(benchmark::State& state) {
-  const GFPoly poly = GFPoly::from_integer(123456789ull, 1009, 4);
+void bm_flat_poly_eval(benchmark::State& state) {
+  const FlatPolyEval field(1009, 4);
+  std::array<std::uint32_t, 5> digits{};
+  std::array<std::uint32_t, 5> powers{};
+  field.digits(123456789ull, digits.data());
   std::uint32_t x = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(poly.eval(x));
-    x = (x + 1) % 1009;
+    field.powers(x, powers.data());
+    benchmark::DoNotOptimize(field.eval(digits.data(), powers.data()));
+    x = x + 1 == 1009 ? 0 : x + 1;
   }
 }
-BENCHMARK(bm_gfpoly_eval);
+BENCHMARK(bm_flat_poly_eval);
 
 void bm_next_prime(benchmark::State& state) {
   std::uint64_t x = 1000003;

@@ -1,6 +1,7 @@
 #include "src/coloring/distributed.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 
 #include "src/coloring/linial.hpp"
@@ -133,31 +134,36 @@ class GreedyByClassProgram final : public NodeProgram {
   }
 
   void linial_iteration(NodeContext& ctx, LinialParams params) {
-    const std::uint32_t q = params.q;
+    const FlatPolyEval field(params.q, params.k);
+    const std::uint32_t q = field.q();
+    const auto width = static_cast<std::size_t>(field.width());
     std::vector<std::uint64_t> next(phi_);
+    std::array<std::uint32_t, FlatPolyEval::kMaxWidth> power{};
     for (int p = 0; p < ctx.degree(); ++p) {
       const std::uint64_t mine = phi_[static_cast<std::size_t>(p)];
-      const GFPoly my_poly = GFPoly::from_integer(mine, q, params.k);
-      // Conflict neighborhood: my other edges + the remote endpoint's others.
-      std::vector<GFPoly> nbrs;
+      // Digit rows, mine first, then the conflict neighborhood: my other
+      // edges + the remote endpoint's others.
+      rows_.clear();
+      const auto push_row = [&](std::uint64_t c) {
+        rows_.resize(rows_.size() + width);
+        field.digits(c, &rows_[rows_.size() - width]);
+      };
+      push_row(mine);
       for (int p2 = 0; p2 < ctx.degree(); ++p2) {
-        if (p2 != p) {
-          nbrs.push_back(GFPoly::from_integer(phi_[static_cast<std::size_t>(p2)], q, params.k));
-        }
+        if (p2 != p) push_row(phi_[static_cast<std::size_t>(p2)]);
       }
-      for_each_remote_neighbor(ctx, p, [&](std::uint64_t c, Color) {
-        nbrs.push_back(GFPoly::from_integer(c, q, params.k));
-      });
+      for_each_remote_neighbor(ctx, p, [&](std::uint64_t c, Color) { push_row(c); });
       // Identical selection rule to linial_step: scan from a color-dependent
-      // offset for the first conflict-free evaluation point.
-      const auto start = static_cast<std::uint32_t>(mine % q);
+      // offset, mine mod q, for the first conflict-free evaluation point.
+      const std::size_t end = rows_.size();
+      std::uint32_t a = rows_[0];
       bool found = false;
-      for (std::uint32_t t = 0; t < q && !found; ++t) {
-        const std::uint32_t a = (start + t) % q;
-        const std::uint32_t mv = my_poly.eval(a);
+      for (std::uint32_t t = 0; t < q && !found; ++t, a = a + 1 == q ? 0 : a + 1) {
+        field.powers(a, power.data());
+        const std::uint32_t mv = field.eval(rows_.data(), power.data());
         bool good = true;
-        for (const GFPoly& other : nbrs) {
-          if (other.eval(a) == mv) {
+        for (std::size_t r = width; r < end; r += width) {
+          if (field.eval(&rows_[r], power.data()) == mv) {
             good = false;
             break;
           }
@@ -243,6 +249,7 @@ class GreedyByClassProgram final : public NodeProgram {
   std::vector<Color> final_;
   std::vector<std::vector<Color>> forbidden_acc_;  // per port, delta-fed
   std::vector<int> newly_;  // ports finalized this round (delta broadcast)
+  std::vector<std::uint32_t> rows_;  // Linial digit rows, reused per port
 };
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "src/coloring/linial.hpp"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 
 #include "src/common/assert.hpp"
 #include "src/common/field.hpp"
@@ -13,32 +15,32 @@ namespace qplec {
 namespace {
 
 /// Per-reduce memo of everything linial_reduce's iterations recompute
-/// identically: the active set, each active item's polynomial-table slot,
-/// and its neighbor row.  The up-to-64 steps of one reduce run over a FIXED
-/// active set in a fixed enumeration order, so the for_each_neighbor walks —
-/// a std::function-indirected scan over the FULL incident lists, filtering
-/// by subset membership (the PR 4 carry-over) — are paid once here and
-/// replayed as flat CSR rows by every subsequent step.
+/// identically: the active set, each active item's row slot, and its
+/// neighbor row.  The up-to-64 steps of one reduce run over a FIXED active
+/// set in a fixed enumeration order, so the for_each_neighbor walks — a
+/// std::function-indirected scan over the FULL incident lists, filtering by
+/// subset membership — are paid once here and replayed as flat CSR rows of
+/// neighbor slots by every step.
 struct LinialMemo {
-  std::vector<int> poly_index;        ///< item -> polynomial slot (-1 inactive)
-  std::vector<std::int64_t> offsets;  ///< item -> row bounds in nbr_items
-  std::vector<int> nbr_items;         ///< neighbor ids, enumeration order
+  std::vector<int> slot;              ///< item -> row slot (-1 inactive)
+  std::vector<std::int64_t> offsets;  ///< item -> row bounds in nbr_slots
+  std::vector<int> nbr_slots;         ///< neighbor slots, enumeration order
+  int slots = 0;                      ///< number of active items
 };
 
 LinialMemo build_linial_memo(const ConflictView& view, const ExecBackend& ex) {
   const trace::Span span("linial-memo", "engine");
   LinialMemo memo;
   const int n = view.num_items();
-  memo.poly_index.assign(static_cast<std::size_t>(n), -1);
-  int slots = 0;
+  memo.slot.assign(static_cast<std::size_t>(n), -1);
   for (int i = 0; i < n; ++i) {
-    if (view.active(i)) memo.poly_index[static_cast<std::size_t>(i)] = slots++;
+    if (view.active(i)) memo.slot[static_cast<std::size_t>(i)] = memo.slots++;
   }
   // Degree pass, serial prefix sum, fill pass: each item writes only its own
   // count/row, so the rows are identical for any backend and lane count.
   memo.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
   ex.for_indices(n, [&](int, int i) {
-    if (memo.poly_index[static_cast<std::size_t>(i)] < 0) return;
+    if (memo.slot[static_cast<std::size_t>(i)] < 0) return;
     std::int64_t d = 0;
     view.for_each_neighbor(i, [&](int) { ++d; });
     memo.offsets[static_cast<std::size_t>(i) + 1] = d;
@@ -46,86 +48,70 @@ LinialMemo build_linial_memo(const ConflictView& view, const ExecBackend& ex) {
   for (int i = 0; i < n; ++i) {
     memo.offsets[static_cast<std::size_t>(i) + 1] += memo.offsets[static_cast<std::size_t>(i)];
   }
-  memo.nbr_items.resize(static_cast<std::size_t>(memo.offsets[static_cast<std::size_t>(n)]));
+  memo.nbr_slots.resize(static_cast<std::size_t>(memo.offsets[static_cast<std::size_t>(n)]));
   ex.for_indices(n, [&](int, int i) {
-    if (memo.poly_index[static_cast<std::size_t>(i)] < 0) return;
+    if (memo.slot[static_cast<std::size_t>(i)] < 0) return;
     std::int64_t pos = memo.offsets[static_cast<std::size_t>(i)];
     view.for_each_neighbor(i, [&](int f) {
-      memo.nbr_items[static_cast<std::size_t>(pos++)] = f;
+      memo.nbr_slots[static_cast<std::size_t>(pos++)] = memo.slot[static_cast<std::size_t>(f)];
     });
   });
   return memo;
 }
 
-/// One reduction step.  `memo` (optional) replays the active set and
-/// neighbor rows instead of re-deriving them from the view; results are
-/// bit-identical either way (same slots, same enumeration order).
-std::vector<std::uint64_t> linial_step_impl(const ConflictView& view,
-                                            const std::vector<std::uint64_t>& colors,
+/// One reduction step over the memo's rows.  No per-item allocation and no
+/// division in the scan: each active item's color becomes k+1 base-q digits
+/// in one flat row table, each candidate point's powers are computed once
+/// per item, and every evaluation is a dot product plus one reciprocal
+/// reduction (FlatPolyEval).
+std::vector<std::uint64_t> linial_step_impl(const std::vector<std::uint64_t>& colors,
                                             LinialParams params, const ExecBackend& ex,
-                                            const LinialMemo* memo) {
-  const std::uint32_t q = params.q;
-  const int k = params.k;
-  QPLEC_REQUIRE(q >= 2);
+                                            const LinialMemo& memo) {
+  const FlatPolyEval field(params.q, params.k);
+  const std::uint32_t q = field.q();
+  const auto width = static_cast<std::size_t>(field.width());
+  const int n = static_cast<int>(memo.slot.size());
 
-  // Precompute every active item's polynomial once (the construction pass is
-  // O(active * k) and stays serial; the eval scan below is the hot part).
-  std::vector<GFPoly> polys;
-  polys.reserve(static_cast<std::size_t>(view.num_active()));
-  std::vector<int> local_index;
-  if (memo == nullptr) {
-    local_index.assign(static_cast<std::size_t>(view.num_items()), -1);
-    for (int i = 0; i < view.num_items(); ++i) {
-      if (!view.active(i)) continue;
-      local_index[static_cast<std::size_t>(i)] = static_cast<int>(polys.size());
-      polys.push_back(GFPoly::from_integer(colors[static_cast<std::size_t>(i)], q, k));
-    }
-  } else {
-    // The memo's slot order is the same increasing-id order.
-    for (int i = 0; i < view.num_items(); ++i) {
-      if (memo->poly_index[static_cast<std::size_t>(i)] < 0) continue;
-      polys.push_back(GFPoly::from_integer(colors[static_cast<std::size_t>(i)], q, k));
-    }
-  }
-  const std::vector<int>& poly_index = memo != nullptr ? memo->poly_index : local_index;
+  // Item-owned digit pass: slot s's row is digits[s*width, (s+1)*width);
+  // slot_color keeps the colors dense for the per-neighbor input check.
+  std::vector<std::uint32_t> digits(static_cast<std::size_t>(memo.slots) * width);
+  std::vector<std::uint64_t> slot_color(static_cast<std::size_t>(memo.slots));
+  ex.for_indices(n, [&](int, int i) {
+    const int s = memo.slot[static_cast<std::size_t>(i)];
+    if (s < 0) return;
+    const std::uint64_t c = colors[static_cast<std::size_t>(i)];
+    slot_color[static_cast<std::size_t>(s)] = c;
+    field.digits(c, &digits[static_cast<std::size_t>(s) * width]);
+  });
 
   // Inactive items keep their previous colors untouched.  Each active item
-  // reads the committed previous-round colors/polynomials of its neighbors
-  // and writes only next[i], so the scan fans out over the backend's lanes;
-  // the neighbor-pointer working set lives in per-lane scratch, one resident
-  // allocation per shard.
+  // reads the committed previous-round digit rows of its neighbors and
+  // writes only next[i], so the scan fans out over the backend's lanes.
   std::vector<std::uint64_t> next = colors;
-  LaneScratch<std::vector<const GFPoly*>> nbr_scratch(ex.lanes());
-  ex.for_indices(view.num_items(), [&](int lane, int i) {
-    const int slot = poly_index[static_cast<std::size_t>(i)];
-    if (slot < 0) return;
-    const GFPoly& mine = polys[static_cast<std::size_t>(slot)];
-    std::vector<const GFPoly*>& nbrs = nbr_scratch.lane(lane);
-    nbrs.clear();
-    const auto gather = [&](int f) {
-      QPLEC_ASSERT_MSG(colors[static_cast<std::size_t>(f)] != colors[static_cast<std::size_t>(i)],
+  ex.for_indices(n, [&](int, int i) {
+    const int s = memo.slot[static_cast<std::size_t>(i)];
+    if (s < 0) return;
+    const std::uint64_t c = slot_color[static_cast<std::size_t>(s)];
+    const int* const nbr = memo.nbr_slots.data() + memo.offsets[static_cast<std::size_t>(i)];
+    const int deg = static_cast<int>(memo.offsets[static_cast<std::size_t>(i) + 1] -
+                                     memo.offsets[static_cast<std::size_t>(i)]);
+    for (int j = 0; j < deg; ++j) {
+      QPLEC_ASSERT_MSG(slot_color[static_cast<std::size_t>(nbr[j])] != c,
                        "linial_step requires a proper input coloring");
-      nbrs.push_back(&polys[static_cast<std::size_t>(poly_index[static_cast<std::size_t>(f)])]);
-    };
-    if (memo != nullptr) {
-      const std::int64_t end = memo->offsets[static_cast<std::size_t>(i) + 1];
-      for (std::int64_t pos = memo->offsets[static_cast<std::size_t>(i)]; pos < end; ++pos) {
-        gather(memo->nbr_items[static_cast<std::size_t>(pos)]);
-      }
-    } else {
-      view.for_each_neighbor(i, gather);
     }
-    // Scan evaluation points starting at a color-dependent offset (purely a
-    // simulation-speed heuristic; any good point is correct).
-    const std::uint32_t start =
-        static_cast<std::uint32_t>(colors[static_cast<std::size_t>(i)] % q);
+    const std::uint32_t* const mine = &digits[static_cast<std::size_t>(s) * width];
+    // Scan evaluation points starting at a color-dependent offset, c mod q
+    // (mine[0]; purely a simulation-speed heuristic — any good point is
+    // correct).
+    std::array<std::uint32_t, FlatPolyEval::kMaxWidth> power{};
+    std::uint32_t a = mine[0];
     bool found = false;
-    for (std::uint32_t t = 0; t < q; ++t) {
-      const std::uint32_t a = (start + t) % q;
-      const std::uint32_t mv = mine.eval(a);
+    for (std::uint32_t t = 0; t < q; ++t, a = a + 1 == q ? 0 : a + 1) {
+      field.powers(a, power.data());
+      const std::uint32_t mv = field.eval(mine, power.data());
       bool good = true;
-      for (const GFPoly* other : nbrs) {
-        if (other->eval(a) == mv) {
+      for (int j = 0; j < deg; ++j) {
+        if (field.eval(&digits[static_cast<std::size_t>(nbr[j]) * width], power.data()) == mv) {
           good = false;
           break;
         }
@@ -138,7 +124,7 @@ std::vector<std::uint64_t> linial_step_impl(const ConflictView& view,
       }
     }
     QPLEC_ASSERT_MSG(found, "no good evaluation point — degree bound violated? (q=" << q
-                                << ", k=" << k << ", deg=" << nbrs.size() << ")");
+                                << ", k=" << params.k << ", deg=" << deg << ")");
   });
   return next;
 }
@@ -156,7 +142,9 @@ LinialParams choose_linial_params(std::uint64_t palette, int degree_bound) {
     const std::uint64_t dk = static_cast<std::uint64_t>(d) * static_cast<std::uint64_t>(k) + 1;
     const std::uint64_t lo = std::max(dk, nth_root_ceil(palette, k + 1));
     const std::uint64_t q = next_prime(std::max<std::uint64_t>(2, lo));
-    if (q >= (1ull << 31)) continue;  // GFPoly limit; larger k will shrink q
+    // The evaluator's limit (q < 2^31, (k+1)(q-1)^2 < 2^64); larger k will
+    // shrink q.
+    if (!FlatPolyEval::fits(q, k)) continue;
     const std::uint64_t out = q * q;
     if (out < best_out) {
       best_out = out;
@@ -172,8 +160,9 @@ LinialParams choose_linial_params(std::uint64_t palette, int degree_bound) {
 std::vector<std::uint64_t> linial_step(const ConflictView& view,
                                        const std::vector<std::uint64_t>& colors,
                                        LinialParams params, const ExecBackend* exec) {
-  return linial_step_impl(view, colors, params, exec != nullptr ? *exec : serial_backend(),
-                          nullptr);
+  const ExecBackend& ex = exec != nullptr ? *exec : serial_backend();
+  QPLEC_REQUIRE(colors.size() == static_cast<std::size_t>(view.num_items()));
+  return linial_step_impl(colors, params, ex, build_linial_memo(view, ex));
 }
 
 LinialResult linial_reduce(const ConflictView& view, std::vector<std::uint64_t> colors,
@@ -189,20 +178,16 @@ LinialResult linial_reduce(const ConflictView& view, std::vector<std::uint64_t> 
   // The iterations share one memo (built lazily at the first step): the
   // active set never changes inside a reduce, so every step after the first
   // replays the flat neighbor rows instead of re-walking incident lists.
-  LinialMemo memo;
-  bool have_memo = false;
+  std::optional<LinialMemo> memo;
   for (int iter = 0; iter < 64; ++iter) {
     const LinialParams params = choose_linial_params(out.palette, degree_bound);
     if (params.q == 0) break;  // fixpoint
     const std::uint64_t new_palette =
         static_cast<std::uint64_t>(params.q) * static_cast<std::uint64_t>(params.q);
-    if (!have_memo) {
-      memo = build_linial_memo(view, ex);
-      have_memo = true;
-    }
+    if (!memo) memo = build_linial_memo(view, ex);
     {
       const trace::Span span("linial-step", "engine");
-      out.colors = linial_step_impl(view, out.colors, params, ex, &memo);
+      out.colors = linial_step_impl(out.colors, params, ex, *memo);
     }
     out.palette = new_palette;
     ++out.rounds;

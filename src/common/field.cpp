@@ -59,6 +59,32 @@ std::uint64_t next_prime(std::uint64_t x) {
   return x;
 }
 
+bool FlatPolyEval::fits(std::uint64_t q, int k) {
+  if (q < 2 || q >= (1ull << 31) || k < 0 || k >= kMaxWidth) return false;
+  const __uint128_t sum_bound = static_cast<__uint128_t>(k + 1) * (q - 1) * (q - 1);
+  return sum_bound >> 64 == 0;
+}
+
+FlatPolyEval::FlatPolyEval(std::uint32_t q, int k) : q_(q), recip_(0), k_(k) {
+  QPLEC_REQUIRE_MSG(fits(q, k), "q=" << q << ", k=" << k << ": need (k+1)(q-1)^2 < 2^64");
+  recip_ = ~std::uint64_t{0} / q_;
+}
+
+void FlatPolyEval::digits(std::uint64_t value, std::uint32_t* row) const {
+  for (int j = 0; j <= k_; ++j) {
+    // Same estimate as reduce(), keeping the corrected quotient.
+    auto quot = static_cast<std::uint64_t>((static_cast<__uint128_t>(value) * recip_) >> 64);
+    std::uint64_t r = value - quot * q_;
+    if (r >= q_) {
+      r -= q_;
+      ++quot;
+    }
+    row[j] = static_cast<std::uint32_t>(r);
+    value = quot;
+  }
+  QPLEC_REQUIRE_MSG(value == 0, "value does not fit in q^(k+1)");
+}
+
 GFPoly::GFPoly(std::vector<std::uint32_t> coeffs, std::uint32_t q)
     : coeffs_(std::move(coeffs)), q_(q) {
   QPLEC_REQUIRE(q_ >= 2);

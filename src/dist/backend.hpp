@@ -93,7 +93,7 @@ class ExecBackend {
 };
 
 /// Per-lane scratch slots for the reusable working sets of a parallel pass
-/// (neighbor-color buffers, polynomial pointer lists, conflict-pair sinks).
+/// (neighbor-color buffers, conflict-pair sinks, delta queues).
 /// Unlike DeterministicReducer there is no fold: the contents are transient
 /// working memory that stays resident in one lane across the steps it runs,
 /// so a hot round loop reuses one allocation per shard instead of one per

@@ -17,7 +17,8 @@ namespace qplec {
 namespace {
 
 struct CrossCase {
-  int n;
+  // 64-bit, so the struct has no padding: the test names print its bytes.
+  std::int64_t n;
   double p;
   std::uint64_t seed;
 };
@@ -26,8 +27,8 @@ class DistributedCrossCheck : public ::testing::TestWithParam<CrossCase> {};
 
 TEST_P(DistributedCrossCheck, MatchesConflictViewImplementationExactly) {
   const auto [n, prob, seed] = GetParam();
-  const Graph g = make_gnp(n, prob, seed).with_scrambled_ids(
-      static_cast<std::uint64_t>(n) * n, seed + 1);
+  const Graph g = make_gnp(static_cast<int>(n), prob, seed)
+                      .with_scrambled_ids(static_cast<std::uint64_t>(n * n), seed + 1);
   if (g.num_edges() == 0) return;
   const auto inst = make_two_delta_instance(g);
 

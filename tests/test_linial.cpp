@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "src/coloring/initial.hpp"
 #include "src/coloring/validate.hpp"
 #include "src/common/field.hpp"
 #include "src/common/math.hpp"
+#include "src/common/rng.hpp"
+#include "src/dist/backend.hpp"
 #include "src/graph/generators.hpp"
 #include "src/local/ledger.hpp"
+#include "src/runtime/thread_pool.hpp"
 
 namespace qplec {
 namespace {
@@ -22,17 +31,47 @@ TEST(InitialColoring, ProperAndWithinPalette) {
   EXPECT_EQ(init.palette, (g.max_local_id() + 1) * (g.max_local_id() + 1));
 }
 
+// Palettes up to 2^64-1 and degree bounds up to 2^30.  Besides the
+// reduction's own constraints, every choice must lie inside FlatPolyEval's
+// range, (k+1)(q-1)^2 < 2^64 and q < 2^31, which the step REQUIREs (the bound
+// is recomputed here, not taken from FlatPolyEval::fits).
 TEST(ChooseLinialParams, RespectsConstraints) {
-  for (const std::uint64_t palette : {100ull, 10000ull, 1ull << 30, 1ull << 50}) {
-    for (const int d : {1, 2, 5, 20, 126}) {
+  std::vector<std::uint64_t> palettes{100, 10000};
+  for (int b = 1; b < 64; ++b) {
+    palettes.push_back((1ull << b) - 1);
+    palettes.push_back(1ull << b);
+    palettes.push_back((1ull << b) + 1);
+  }
+  palettes.push_back(~std::uint64_t{0});
+  std::vector<int> degrees{0, 1, 2, 3, 5, 20, 126};
+  for (int b = 2; b <= 30; ++b) {
+    degrees.push_back((1 << b) - 1);
+    degrees.push_back(1 << b);
+    if (b < 30) degrees.push_back((1 << b) + 1);
+  }
+  Rng rng(41);
+  for (int i = 0; i < 40; ++i) {
+    palettes.push_back(std::max<std::uint64_t>(1, rng.next_u64() >> rng.next_below(64)));
+    degrees.push_back(static_cast<int>(rng.next_below((1ull << 30) + 1)));
+  }
+  int chosen = 0;
+  for (const std::uint64_t palette : palettes) {
+    for (const int d : degrees) {
       const LinialParams p = choose_linial_params(palette, d);
       if (p.q == 0) continue;  // fixpoint
-      EXPECT_TRUE(is_prime(p.q));
-      EXPECT_GE(p.q, static_cast<std::uint32_t>(d * p.k + 1));
-      EXPECT_GE(saturating_pow(p.q, static_cast<unsigned>(p.k + 1)), palette);
-      EXPECT_LT(static_cast<std::uint64_t>(p.q) * p.q, palette);  // strict progress
+      ++chosen;
+      const std::uint64_t q = p.q;
+      const __uint128_t sum_bound = static_cast<__uint128_t>(p.k + 1) * (q - 1) * (q - 1);
+      EXPECT_EQ(sum_bound >> 64, 0u) << "palette=" << palette << " d=" << d << " q=" << q
+                                     << " k=" << p.k;
+      EXPECT_LT(q, 1ull << 31);
+      EXPECT_TRUE(is_prime(q));
+      EXPECT_GE(q, static_cast<std::uint64_t>(std::max(1, d)) * p.k + 1);
+      EXPECT_GE(saturating_pow(q, static_cast<unsigned>(p.k + 1)), palette);
+      EXPECT_LT(q * q, palette);  // strict progress
     }
   }
+  EXPECT_GT(chosen, 1000);
 }
 
 TEST(ChooseLinialParams, FixpointReturnsZero) {
@@ -63,7 +102,8 @@ TEST(LinialStep, RejectsImproperInput) {
 }
 
 struct ReduceCase {
-  int n;
+  // 64-bit, so the struct has no padding: the test names print its bytes.
+  std::int64_t n;
   double p;
   std::uint64_t seed;
 };
@@ -72,8 +112,8 @@ class LinialReduceTest : public ::testing::TestWithParam<ReduceCase> {};
 
 TEST_P(LinialReduceTest, ReachesQuadraticPaletteInLogStarRounds) {
   const auto [n, prob, seed] = GetParam();
-  const Graph g = make_gnp(n, prob, seed).with_scrambled_ids(
-      static_cast<std::uint64_t>(n) * n, seed + 1);
+  const Graph g = make_gnp(static_cast<int>(n), prob, seed)
+                      .with_scrambled_ids(static_cast<std::uint64_t>(n * n), seed + 1);
   if (g.num_edges() == 0) return;
   const LineGraphConflict view(g, EdgeSubset::all(g));
   const InitialColoring init = initial_edge_coloring_from_ids(g);
@@ -131,6 +171,172 @@ TEST(LinialReduce, RestrictedSubsetOnly) {
   for (EdgeId e = 6; e < 12; ++e) {
     EXPECT_EQ(res.colors[static_cast<std::size_t>(e)],
               init.colors[static_cast<std::size_t>(e)]);
+  }
+}
+
+// The GFPoly step, kept as the reference: one heap polynomial per item,
+// Horner with a % per coefficient, neighbors walked through the view.
+std::vector<std::uint64_t> reference_step(const ConflictView& view,
+                                          const std::vector<std::uint64_t>& colors,
+                                          LinialParams params) {
+  const std::uint32_t q = params.q;
+  std::vector<std::uint64_t> next = colors;
+  for (int i = 0; i < view.num_items(); ++i) {
+    if (!view.active(i)) continue;
+    const GFPoly mine = GFPoly::from_integer(colors[static_cast<std::size_t>(i)], q, params.k);
+    std::vector<GFPoly> nbrs;
+    view.for_each_neighbor(i, [&](int f) {
+      nbrs.push_back(GFPoly::from_integer(colors[static_cast<std::size_t>(f)], q, params.k));
+    });
+    const auto start = static_cast<std::uint32_t>(colors[static_cast<std::size_t>(i)] % q);
+    bool found = false;
+    for (std::uint32_t t = 0; t < q && !found; ++t) {
+      const std::uint32_t a = (start + t) % q;
+      const std::uint32_t mv = mine.eval(a);
+      bool good = true;
+      for (const GFPoly& other : nbrs) good = good && other.eval(a) != mv;
+      if (good) {
+        next[static_cast<std::size_t>(i)] = static_cast<std::uint64_t>(a) * q + mv;
+        found = true;
+      }
+    }
+    EXPECT_TRUE(found) << "reference found no good point for item " << i;
+  }
+  return next;
+}
+
+/// One differential input: a view, a proper coloring below `palette`, a
+/// degree bound, and the graph the sharded backends partition (held by
+/// pointer: the view refers to it, so its address must survive a move).
+struct DiffCase {
+  std::string name;
+  std::unique_ptr<const Graph> graph;
+  std::unique_ptr<ConflictView> view;
+  std::vector<std::uint64_t> colors;
+  std::uint64_t palette = 0;
+  int degree_bound = 0;
+};
+
+DiffCase line_graph_case(std::string name, Graph g) {
+  DiffCase c;
+  c.name = std::move(name);
+  c.graph = std::make_unique<const Graph>(std::move(g));
+  c.view = std::make_unique<LineGraphConflict>(*c.graph, EdgeSubset::all(*c.graph));
+  const InitialColoring init = initial_edge_coloring_from_ids(*c.graph);
+  c.colors = init.colors;
+  c.palette = init.palette;
+  c.degree_bound = c.graph->max_edge_degree();
+  return c;
+}
+
+/// An explicit conflict graph over `universe` items with distinct random
+/// colors below 2^40; items outside `active` keep a color too (they must
+/// come back untouched).
+DiffCase explicit_case(std::string name, int universe, const std::vector<int>& active,
+                       const std::vector<std::pair<int, int>>& conflicts, int degree_bound,
+                       std::uint64_t seed) {
+  DiffCase c;
+  c.name = std::move(name);
+  c.graph = std::make_unique<const Graph>(make_path(universe + 1));  // `universe` edges
+  c.view = std::make_unique<ExplicitConflict>(universe, active, conflicts);
+  Rng rng(seed);
+  std::set<std::uint64_t> used;
+  while (static_cast<int>(used.size()) < universe) used.insert(rng.next_below(1ull << 40));
+  c.colors.assign(used.begin(), used.end());
+  rng.shuffle(c.colors);
+  c.palette = 1ull << 40;
+  c.degree_bound = degree_bound;
+  return c;
+}
+
+std::vector<LinialParams> schedule(std::uint64_t palette, int degree_bound) {
+  std::vector<LinialParams> out;
+  for (LinialParams p = choose_linial_params(palette, degree_bound); p.q != 0;
+       p = choose_linial_params(palette, degree_bound)) {
+    out.push_back(p);
+    palette = static_cast<std::uint64_t>(p.q) * p.q;
+  }
+  return out;
+}
+
+/// Every step of the case's schedule and the whole reduce, on the serial
+/// backend and the sharded one at 1, 2 and 7 shards, against the reference.
+void expect_matches_reference(const DiffCase& c) {
+  ThreadPool pool(3);
+  std::vector<std::unique_ptr<ShardedBackend>> sharded;
+  for (const int shards : {1, 2, 7}) {
+    sharded.push_back(std::make_unique<ShardedBackend>(*c.graph, shards, pool));
+  }
+  std::vector<const ExecBackend*> backends{nullptr};
+  for (const auto& b : sharded) backends.push_back(b.get());
+
+  const std::vector<LinialParams> steps = schedule(c.palette, c.degree_bound);
+  ASSERT_FALSE(steps.empty()) << c.name;
+  std::vector<std::uint64_t> ref = c.colors;
+  std::vector<std::vector<std::uint64_t>> got(backends.size(), c.colors);
+  for (const LinialParams& p : steps) {
+    ref = reference_step(*c.view, ref, p);
+    for (std::size_t b = 0; b < backends.size(); ++b) {
+      got[b] = linial_step(*c.view, got[b], p, backends[b]);
+      ASSERT_EQ(got[b], ref) << c.name << " backend " << b << " q=" << p.q << " k=" << p.k;
+    }
+  }
+  for (const ExecBackend* exec : backends) {
+    RoundLedger ledger;
+    const LinialResult res =
+        linial_reduce(*c.view, c.colors, c.palette, c.degree_bound, ledger, exec);
+    EXPECT_EQ(res.colors, ref) << c.name;
+    EXPECT_EQ(res.rounds, static_cast<int>(steps.size())) << c.name;
+    EXPECT_EQ(res.palette, static_cast<std::uint64_t>(steps.back().q) * steps.back().q);
+  }
+}
+
+TEST(LinialDifferential, ScrambledRegularGraphsReachTheK7Step) {
+  bool saw_k7 = false;
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    const DiffCase c = line_graph_case(
+        "regular seed " + std::to_string(seed),
+        make_random_regular(120, 16, seed).with_scrambled_ids(1ull << 31, seed + 10));
+    for (const LinialParams& p : schedule(c.palette, c.degree_bound)) saw_k7 |= p.k == 7;
+    expect_matches_reference(c);
+  }
+  EXPECT_TRUE(saw_k7);
+}
+
+TEST(LinialDifferential, PathAndCycleSystems) {
+  // The degree-<=2 systems three_color_paths_cycles feeds in: line graphs
+  // of cycles and paths, and an explicit mix of paths, cycles and isolated
+  // and inactive items.
+  expect_matches_reference(
+      line_graph_case("cycle", make_cycle(101).with_scrambled_ids(1ull << 31, 5)));
+  expect_matches_reference(
+      line_graph_case("path", make_path(64).with_scrambled_ids(64 * 64, 6)));
+  // Items 0..29 form a path, 30..46 a 17-cycle, 47..49 a triangle; 52 is
+  // isolated and 50, 51 are inactive.
+  std::vector<int> active;
+  std::vector<std::pair<int, int>> conflicts;
+  for (int i = 0; i < 50; ++i) active.push_back(i);
+  active.push_back(52);
+  for (int i = 0; i + 1 < 30; ++i) conflicts.emplace_back(i, i + 1);
+  for (int i = 30; i < 47; ++i) conflicts.emplace_back(i, i == 46 ? 30 : i + 1);
+  conflicts.emplace_back(47, 48);
+  conflicts.emplace_back(48, 49);
+  conflicts.emplace_back(49, 47);
+  expect_matches_reference(explicit_case("paths+cycles", 53, active, conflicts, 2, 7));
+}
+
+TEST(LinialDifferential, CompleteGraphs) {
+  expect_matches_reference(
+      line_graph_case("line graph of K_12", make_complete(12).with_scrambled_ids(1ull << 20, 8)));
+  for (const int n : {2, 9, 40}) {
+    std::vector<int> active;
+    std::vector<std::pair<int, int>> conflicts;
+    for (int i = 0; i < n; ++i) {
+      active.push_back(i);
+      for (int j = i + 1; j < n; ++j) conflicts.emplace_back(i, j);
+    }
+    expect_matches_reference(
+        explicit_case("K_" + std::to_string(n), n, active, conflicts, n - 1, 9 + n));
   }
 }
 
