@@ -132,9 +132,14 @@ TEST_P(LinialReduceTest, ReachesQuadraticPaletteInLogStarRounds) {
 
 INSTANTIATE_TEST_SUITE_P(Families, LinialReduceTest,
                          ::testing::Values(ReduceCase{20, 0.15, 1}, ReduceCase{40, 0.1, 2},
-                                           ReduceCase{40, 0.3, 3}, ReduceCase{80, 0.05, 4},
-                                           ReduceCase{80, 0.2, 5}, ReduceCase{25, 0.6, 6},
+                                           ReduceCase{80, 0.05, 4}, ReduceCase{25, 0.6, 6},
                                            ReduceCase{120, 0.03, 7}));
+
+// The denser graph of each repeated size gets its own prefix: the test names
+// print the parameter bytes n first, so two cases of one size would otherwise
+// differ only far into a long name.
+INSTANTIATE_TEST_SUITE_P(DenseFamilies, LinialReduceTest,
+                         ::testing::Values(ReduceCase{40, 0.3, 3}, ReduceCase{80, 0.2, 5}));
 
 TEST(LinialReduce, PathGetsConstantPalette) {
   const Graph g = make_path(200).with_scrambled_ids(200 * 200, 11);
