@@ -2,7 +2,7 @@
 //
 //   usage: batch_solve [--threads N] [--manifest file] [--out BENCH_batch.json]
 //                      [--seed N] [--quiet] [--shards N] [--sharded-min-edges M]
-//                      [--backend auto|serial|sharded|process] [--ranks N]
+//                      [--backend auto|serial|sharded]
 //                      [--greedy-batch-quantum N]
 //                      [--no-neighbor-cache] [--no-fuse-supersteps]
 //                      [--no-result-cache] [--max-queue-depth N] [--churn N]
@@ -20,10 +20,7 @@
 // the rest on the serial per-worker path; results are identical either way.
 // All sharded solves of one batch lease a single shared worker pool (sized
 // once inside BatchSolver), so --shards never multiplies thread counts.
-// --backend process routes every solve through the fork-based message-passing
-// backend with --ranks worker processes (src/dist/process_backend) — the
-// fingerprints stay identical to the serial path, which is exactly what the
-// CI process-smoke leg checks against the serial golden file.
+// --backend serial pins the serial path whatever --shards says.
 // --greedy-batch-quantum sets the greedy batching quantum (<=1 disables
 // batching; fingerprints unchanged).
 // --no-neighbor-cache disables the incremental neighbor-color cache on every
@@ -62,7 +59,6 @@
 #include <string>
 
 #include "bench/support.hpp"
-#include "src/dist/process_backend.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/runtime/batch_solver.hpp"
 #include "src/runtime/reporter.hpp"
@@ -76,7 +72,7 @@ int usage() {
                "usage: batch_solve [--threads N] [--manifest file] "
                "[--out BENCH_batch.json] [--seed N] [--quiet] "
                "[--shards N] [--sharded-min-edges M] "
-               "[--backend auto|serial|sharded|process] [--ranks N] "
+               "[--backend auto|serial|sharded] "
                "[--greedy-batch-quantum N] [--no-neighbor-cache] "
                "[--no-fuse-supersteps] [--no-result-cache] "
                "[--max-queue-depth N] [--churn N] "
@@ -107,15 +103,10 @@ std::vector<qplec::Scenario> stressor_scenarios(std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace qplec;
-  // Must run before anything else: when this binary was re-exec'd as a
-  // process-backend rank worker, this call never returns.
-  process_worker_guard(argc, argv);
-
   int threads = 0;
   int shards = 1;
   int sharded_min_edges = -1;
   BackendKind backend = BackendKind::kAuto;
-  int ranks = ExecConfig{}.ranks;
   int greedy_batch_quantum = ExecConfig{}.greedy_batch_quantum;
   std::string manifest_path;
   std::string out_path = "BENCH_batch.json";
@@ -145,13 +136,9 @@ int main(int argc, char** argv) {
         backend = BackendKind::kSerial;
       } else if (kind == "sharded") {
         backend = BackendKind::kSharded;
-      } else if (kind == "process") {
-        backend = BackendKind::kProcess;
       } else {
         return usage();
       }
-    } else if (arg == "--ranks" && i + 1 < argc) {
-      ranks = std::atoi(argv[++i]);
     } else if (arg == "--greedy-batch-quantum" && i + 1 < argc) {
       greedy_batch_quantum = std::atoi(argv[++i]);
     } else if (arg == "--manifest" && i + 1 < argc) {
@@ -221,7 +208,6 @@ int main(int argc, char** argv) {
   config.workers = threads;
   config.shards = shards;
   config.backend = backend;
-  config.ranks = ranks;
   config.greedy_batch_quantum = greedy_batch_quantum;
   config.use_neighbor_cache = neighbor_cache;
   config.fuse_supersteps = fuse_supersteps;

@@ -2,7 +2,7 @@
 //
 //   usage: cli_solve [--algorithm bko|greedy|kw|luby|central] [--seed N]
 //                    [--list-palette C] [--shards N] [--threads N]
-//                    [--backend auto|serial|sharded|process] [--ranks N]
+//                    [--backend auto|serial|sharded]
 //                    [--greedy-batch-quantum N]
 //                    [--no-neighbor-cache] [--no-fuse-supersteps]
 //                    [--no-result-cache] [--max-queue-depth N]
@@ -20,8 +20,8 @@
 // The bko algorithm routes through qplec::SolveService (src/service), the
 // same front door the batch runtime uses: --shards N runs the solve N-way
 // parallel on the sharded backend (identical output), --threads caps the
-// shard workers, --backend picks the execution backend explicitly (process
-// forks --ranks message-passing workers; output stays bit-identical),
+// shard workers, --backend picks the execution backend explicitly (output
+// stays bit-identical),
 // --greedy-batch-quantum sets the greedy batching quantum (<=1 disables
 // batching; output stays bit-identical),
 // --deadline-ms bounds the wall clock (the solve stops at a
@@ -58,7 +58,6 @@
 #include "src/coloring/greedy.hpp"
 #include "src/coloring/validate.hpp"
 #include "src/core/solver.hpp"
-#include "src/dist/process_backend.hpp"
 #include "src/graph/io.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -72,7 +71,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: cli_solve [--algorithm bko|greedy|kw|luby|central] "
                "[--seed N] [--list-palette C] [--shards N] [--threads N] "
-               "[--backend auto|serial|sharded|process] [--ranks N] "
+               "[--backend auto|serial|sharded] "
                "[--greedy-batch-quantum N] "
                "[--no-neighbor-cache] [--no-fuse-supersteps] "
                "[--no-result-cache] [--max-queue-depth N] "
@@ -160,10 +159,6 @@ void print_json(const qplec::SolveOutcome& out, const std::string& algorithm,
 
 int main(int argc, char** argv) {
   using namespace qplec;
-  // Must run before anything else: when this binary was re-exec'd as a
-  // process-backend rank worker, this call never returns.
-  process_worker_guard(argc, argv);
-
   std::string algorithm = "bko";
   std::string path;
   std::uint64_t seed = 1;
@@ -171,7 +166,6 @@ int main(int argc, char** argv) {
   int shards = 1;
   int threads = 0;
   BackendKind backend = BackendKind::kAuto;
-  int ranks = ExecConfig{}.ranks;
   int greedy_batch_quantum = ExecConfig{}.greedy_batch_quantum;
   double deadline_ms = -1.0;
   bool neighbor_cache = true;
@@ -206,13 +200,9 @@ int main(int argc, char** argv) {
         backend = BackendKind::kSerial;
       } else if (kind == "sharded") {
         backend = BackendKind::kSharded;
-      } else if (kind == "process") {
-        backend = BackendKind::kProcess;
       } else {
         return usage();
       }
-    } else if (arg == "--ranks" && i + 1 < argc) {
-      ranks = std::atoi(argv[++i]);
     } else if (arg == "--greedy-batch-quantum" && i + 1 < argc) {
       greedy_batch_quantum = std::atoi(argv[++i]);
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
@@ -264,7 +254,6 @@ int main(int argc, char** argv) {
   config.shards = shards;
   config.shard_threads = threads;
   config.backend = backend;
-  config.ranks = ranks;
   config.greedy_batch_quantum = greedy_batch_quantum;
   config.use_neighbor_cache = neighbor_cache;
   config.fuse_supersteps = fuse_supersteps;

@@ -25,8 +25,6 @@ const char* backend_kind_name(BackendKind kind) {
       return "serial";
     case BackendKind::kSharded:
       return "sharded";
-    case BackendKind::kProcess:
-      return "process";
   }
   return "unknown";
 }

@@ -42,10 +42,6 @@ enum class BackendKind {
   kAuto,     ///< seed behavior: sharded when wants_sharding(), else serial
   kSerial,   ///< always the serial backend, regardless of shards
   kSharded,  ///< same gating as kAuto (named for explicitness in configs)
-  kProcess,  ///< multi-process backend: `ranks` forked worker processes
-             ///< exchanging boundary messages (src/dist/process_backend).
-             ///< Always taken when selected — no min-size gate — so small
-             ///< instances exercise the real message path too.
 };
 
 const char* backend_kind_name(BackendKind kind);
@@ -103,19 +99,10 @@ struct ExecConfig {
   int shards = 1;
 
   /// Which execution backend solves run on (see BackendKind).  kAuto keeps
-  /// the historical shards/min_sharded_edges gating; kProcess forks `ranks`
-  /// worker processes per solve.  Output is bit-identical across every
-  /// backend (tests/test_process_backend.cpp pins the differential).
+  /// the historical shards/min_sharded_edges gating; kSerial ignores shards.
+  /// Output is bit-identical across backends (tests/test_exec_backend.cpp
+  /// pins the differential).
   BackendKind backend = BackendKind::kAuto;
-
-  /// Worker-rank processes of the process backend (clamped to the edge-id
-  /// universe, like shards).  Only read when backend == kProcess.
-  int ranks = 2;
-
-  /// Process backend: maximum payload bytes of one wire frame — larger
-  /// logical messages are chunked into continuation frames.  Transport
-  /// shaping only; never affects results.
-  std::int64_t rank_msg_budget = std::int64_t{1} << 20;
 
   /// Batch quantum of the greedy small-class scheduler
   /// (src/coloring/greedy.cpp): consecutive color classes are batched until
@@ -151,7 +138,7 @@ struct ExecConfig {
 
   /// Fuse the round-head sweeps that share one round barrier (list refresh +
   /// induced-degree measurement + due validation) into a single backend
-  /// pass, and skip the inbox-clear pass of the LOCAL engines (round-stamped
+  /// pass, and skip the inbox-clear pass of the LOCAL engine (round-stamped
   /// inbox slots make it redundant).  Ledger charges and solved colors are
   /// bit-identical with fusion off — off is the PR 5 reference schedule.
   bool fuse_supersteps = true;

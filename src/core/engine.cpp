@@ -159,17 +159,13 @@ void SolverEngine::refresh_lists(const EdgeSubset& H) {
     return;
   }
   // Edge-local step: e reads committed neighbor colors, mutates only its own
-  // list — safe for any backend.  A distributed backend runs it owned-only
-  // and gathers the updated lists (the per-superstep boundary exchange).
-  exec_->for_members_owned(
-      H,
-      [&](int, EdgeId e) {
-        g_.for_each_edge_neighbor(e, [&](EdgeId f) {
-          const Color cf = final_[static_cast<std::size_t>(f)];
-          if (cf != kUncolored) work_[static_cast<std::size_t>(e)].remove(cf);
-        });
-      },
-      work_);
+  // list — safe for any backend.
+  exec_->for_members(H, [&](int, EdgeId e) {
+    g_.for_each_edge_neighbor(e, [&](EdgeId f) {
+      const Color cf = final_[static_cast<std::size_t>(f)];
+      if (cf != kUncolored) work_[static_cast<std::size_t>(e)].remove(cf);
+    });
+  });
 }
 
 int SolverEngine::induced_degree(int lane, EdgeId e, const EdgeSubset& s) const {
@@ -205,29 +201,23 @@ int SolverEngine::round_head(const EdgeSubset& H, const char* invariant) {
     const PassTimer timer(stats_.refresh_ms);
     DeterministicReducer<int> deg(exec_->lanes(), 0);
     if (cache_) cache_->flush();
-    // Owned-only on a distributed backend: each rank refreshes its shard,
-    // the exchange gathers the lists, and the degree reduction finishes with
-    // an allreduce (a no-op max on shared-memory backends).
-    exec_->for_members_owned(
-        H,
-        [&](int lane, EdgeId e) {
-          auto& list = work_[static_cast<std::size_t>(e)];
-          if (cache_) {
-            cache_->consume(lane, e, list);
-          } else {
-            g_.for_each_edge_neighbor(e, [&](EdgeId f) {
-              const Color cf = final_[static_cast<std::size_t>(f)];
-              if (cf != kUncolored) list.remove(cf);
-            });
-          }
-          const int di = induced_degree(lane, e, H);
-          deg.lane(lane) = std::max(deg.lane(lane), di);
-          if (validate) {
-            QPLEC_ASSERT_MSG(list.size() >= di + 1, invariant << " violated at edge " << e);
-          }
-        },
-        work_);
-    return static_cast<int>(exec_->allreduce_max(deg.max()));
+    exec_->for_members(H, [&](int lane, EdgeId e) {
+      auto& list = work_[static_cast<std::size_t>(e)];
+      if (cache_) {
+        cache_->consume(lane, e, list);
+      } else {
+        g_.for_each_edge_neighbor(e, [&](EdgeId f) {
+          const Color cf = final_[static_cast<std::size_t>(f)];
+          if (cf != kUncolored) list.remove(cf);
+        });
+      }
+      const int di = induced_degree(lane, e, H);
+      deg.lane(lane) = std::max(deg.lane(lane), di);
+      if (validate) {
+        QPLEC_ASSERT_MSG(list.size() >= di + 1, invariant << " violated at edge " << e);
+      }
+    });
+    return deg.max();
   }
 
   // Split schedule (the PR 5 reference): one barrier per sweep.

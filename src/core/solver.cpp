@@ -6,7 +6,6 @@
 #include "src/coloring/initial.hpp"
 #include "src/coloring/linial.hpp"
 #include "src/coloring/validate.hpp"
-#include "src/dist/process_backend.hpp"
 #include "src/graph/subset.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -37,34 +36,21 @@ SolveResult Solver::run(const ListEdgeColoringInstance& instance, double slack,
                         const SolveControl* control) const {
   const Graph& g = instance.graph;
 
+  SolveResult res;
   if (g.num_edges() == 0) {
-    SolveResult res;
     res.colors.clear();
     return res;
   }
 
-  // Execution-backend selection.  kProcess always forks (no min-size gate —
-  // the paper's model, and the differential tests, want the real message
-  // path on small instances too); kSerial pins the seed path; kAuto/kSharded
+  // Execution-backend selection: kSerial pins the seed path; kAuto/kSharded
   // fan large instances out over edge shards (src/dist) and keep the rest
   // serial.
-  if (config_.backend == BackendKind::kProcess) {
-    return process_solve(instance, policy_, slack, config_, control);
-  }
   std::unique_ptr<ShardedExecution> sharded;
   const ExecBackend* exec = nullptr;
   if (config_.backend != BackendKind::kSerial && config_.wants_sharding(g.num_edges())) {
     sharded = std::make_unique<ShardedExecution>(g, config_);
     exec = &sharded->backend();
   }
-  return solve_pipeline(instance, policy_, slack, exec, config_, control);
-}
-
-SolveResult solve_pipeline(const ListEdgeColoringInstance& instance, const Policy& policy,
-                           double slack, const ExecBackend* exec, const ExecConfig& config,
-                           const SolveControl* control) {
-  const Graph& g = instance.graph;
-  SolveResult res;
 
   RoundLedger ledger;
   const auto checkpoint = [&] {
@@ -88,7 +74,7 @@ SolveResult solve_pipeline(const ListEdgeColoringInstance& instance, const Polic
 
   // Phases 1+: the Section 4 recursion.
   SolverEngine engine(g, instance.lists, instance.palette_size, std::move(lin.colors),
-                      lin.palette, policy, ledger, res.stats, 0, exec, config, control);
+                      lin.palette, policy_, ledger, res.stats, 0, exec, config_, control);
   {
     auto scope = ledger.sequential("list-edge-coloring");
     const trace::Span span("list-edge-coloring", "solver");

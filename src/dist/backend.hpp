@@ -24,11 +24,9 @@
 // bit-identical to serial execution.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 
-#include "src/coloring/palette.hpp"
 #include "src/common/exec_config.hpp"
 #include "src/dist/partition.hpp"
 #include "src/graph/subset.hpp"
@@ -73,23 +71,6 @@ class ExecBackend {
   /// graph's edge count (the ranges are the degree-balanced edge shards).
   virtual void for_edge_ranges(int universe,
                                const std::function<void(int, EdgeId, EdgeId)>& fn) const = 0;
-
-  /// Like for_members, but a distributed backend runs fn only on the members
-  /// it OWNS and then exchanges the per-edge `lists` entries of those members
-  /// with the other ranks, so on return every rank holds identical lists for
-  /// the whole subset.  fn must confine its per-edge writes to lists[e] (the
-  /// exchanged state); shared-memory backends own every member, so the
-  /// default is exactly for_members with no exchange.
-  virtual void for_members_owned(const EdgeSubset& s, const std::function<void(int, EdgeId)>& fn,
-                                 std::vector<ColorList>& lists) const {
-    (void)lists;
-    for_members(s, fn);
-  }
-
-  /// Global max over all ranks of a rank-local value.  Shared-memory
-  /// backends see the whole instance, so their local value is already the
-  /// global one.
-  virtual std::int64_t allreduce_max(std::int64_t v) const { return v; }
 };
 
 /// Per-lane scratch slots for the reusable working sets of a parallel pass

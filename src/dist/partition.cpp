@@ -39,18 +39,13 @@ std::vector<int> balanced_boundaries(const std::vector<std::int64_t>& weight, in
 
 }  // namespace
 
-NodePartition::NodePartition(const Graph& g, int shards) : g_(&g) {
+NodePartition::NodePartition(const Graph& g, int shards) {
   const int n = g.num_nodes();
-
   std::vector<std::int64_t> weight(static_cast<std::size_t>(n), 0);
-  offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
   for (NodeId v = 0; v < n; ++v) {
     // Weight 1 + deg(v): an isolated node still costs one program step.
     weight[static_cast<std::size_t>(v)] = 1 + g.degree(v);
-    offsets_[static_cast<std::size_t>(v) + 1] =
-        offsets_[static_cast<std::size_t>(v)] + static_cast<std::size_t>(g.degree(v));
   }
-
   const std::vector<int> bounds = balanced_boundaries(weight, shards);
   shards_.reserve(bounds.size() - 1);
   for (std::size_t b = 0; b + 1 < bounds.size(); ++b) {
@@ -60,52 +55,6 @@ NodePartition::NodePartition(const Graph& g, int shards) : g_(&g) {
     for (NodeId v = s.node_begin; v < s.node_end; ++v) s.adjacency += g.degree(v);
     shards_.push_back(s);
   }
-
-  // Port index of each edge on its two endpoints, by one CSR sweep: port q of
-  // node w lies on edge e, on the u side iff w is the smaller endpoint.
-  const std::size_t m = static_cast<std::size_t>(g.num_edges());
-  std::vector<std::int32_t> port_of_u(m, -1), port_of_v(m, -1);
-  for (NodeId w = 0; w < n; ++w) {
-    const auto inc = g.incident(w);
-    for (std::size_t q = 0; q < inc.size(); ++q) {
-      const EdgeId e = inc[q].edge;
-      auto& side = (g.endpoints(e).u == w ? port_of_u : port_of_v);
-      side[static_cast<std::size_t>(e)] = static_cast<std::int32_t>(q);
-    }
-  }
-
-  routes_.resize(offsets_.back());
-  boundary_.assign(offsets_.back(), 0);
-  for (NodeId v = 0; v < n; ++v) {
-    const auto inc = g.incident(v);
-    const int my_shard = shard_of(v);
-    for (std::size_t p = 0; p < inc.size(); ++p) {
-      const EdgeId e = inc[p].edge;
-      const NodeId w = inc[p].neighbor;
-      PortRoute& r = routes_[offsets_[static_cast<std::size_t>(v)] + p];
-      r.dest = w;
-      r.dest_port = (g.endpoints(e).u == w ? port_of_u : port_of_v)[static_cast<std::size_t>(e)];
-      QPLEC_ASSERT(r.dest_port >= 0);
-      if (shard_of(w) != my_shard) {
-        boundary_[offsets_[static_cast<std::size_t>(v)] + p] = 1;
-        if (v < w) ++num_boundary_edges_;  // count each crossing edge once
-      }
-    }
-  }
-}
-
-int NodePartition::shard_of(NodeId v) const {
-  QPLEC_REQUIRE(v >= 0 && v < g_->num_nodes());
-  int lo = 0, hi = num_shards() - 1;
-  while (lo < hi) {
-    const int mid = (lo + hi) / 2;
-    if (v < shards_[static_cast<std::size_t>(mid)].node_end) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
 }
 
 EdgePartition::EdgePartition(const Graph& g, int shards) {

@@ -1,21 +1,17 @@
 // Partitioner — contiguous shard decompositions of one CSR graph.
 //
-// The sharded executor (src/dist/sharded_engine.hpp) and the sharded
-// edge-step backend (src/dist/backend.hpp) both need the same thing: a
-// decomposition of one instance into S pieces such that (a) every piece is a
-// contiguous id range, so per-shard results concatenated in shard order are
-// in global id order for any S — the keystone of the determinism guarantee —
-// and (b) the pieces carry comparable amounts of round work, which for both
-// node steps and edge-local steps is proportional to the incident adjacency,
-// not the raw element count (a power-law hub costs hundreds of cycles per
-// round, a leaf costs two).
+// The sharded backend (src/dist/backend.hpp) needs a decomposition of one
+// instance into S pieces such that (a) every piece is a contiguous id range,
+// so per-shard results concatenated in shard order are in global id order
+// for any S — the keystone of the determinism guarantee — and (b) the pieces
+// carry comparable amounts of round work, which for both node steps and
+// edge-local steps is proportional to the incident adjacency, not the raw
+// element count (a power-law hub costs hundreds of cycles per round, a leaf
+// costs two).
 //
-// NodePartition shards the node set and precomputes the full port-routing
-// table (for every (node, port): the destination node and the port our node
-// occupies on the destination's side), flagging the ports whose endpoints
-// live in different shards — the boundary edges whose messages cross shards
-// at the round barrier.  EdgePartition shards the edge-id universe by
-// line-graph degree for the solver's edge-local rounds.
+// NodePartition shards the node set for the per-node passes; EdgePartition
+// shards the edge-id universe by line-graph degree for the solver's
+// edge-local rounds.
 #pragma once
 
 #include <cstdint>
@@ -24,13 +20,6 @@
 #include "src/graph/graph.hpp"
 
 namespace qplec {
-
-/// Where one port of a node leads: the neighboring node and the port index
-/// our node occupies in the neighbor's incidence list.
-struct PortRoute {
-  NodeId dest = 0;
-  std::int32_t dest_port = 0;
-};
 
 /// One node shard: the contiguous range [node_begin, node_end) plus its
 /// round-work weight (sum of member degrees).
@@ -46,43 +35,14 @@ class NodePartition {
   /// degree sum.  shards is clamped to [1, max(1, num_nodes)].
   NodePartition(const Graph& g, int shards);
 
-  const Graph& graph() const { return *g_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const NodeShard& shard(int s) const {
     QPLEC_REQUIRE(s >= 0 && s < num_shards());
     return shards_[static_cast<std::size_t>(s)];
   }
 
-  /// Shard owning node v (binary search over the range boundaries).
-  int shard_of(NodeId v) const;
-
-  /// Route of port `port` of node v; O(1) from the precomputed table.
-  const PortRoute& route(NodeId v, int port) const {
-    return routes_[port_index(v, port)];
-  }
-
-  /// True when the port's two endpoints live in different shards (a boundary
-  /// edge: its message crosses shards at the round barrier).
-  bool crosses_shards(NodeId v, int port) const {
-    return boundary_[port_index(v, port)] != 0;
-  }
-
-  /// Number of edges with endpoints in different shards (each counted once).
-  std::int64_t num_boundary_edges() const { return num_boundary_edges_; }
-
  private:
-  std::size_t port_index(NodeId v, int port) const {
-    QPLEC_REQUIRE(v >= 0 && v < g_->num_nodes());
-    QPLEC_REQUIRE(port >= 0 && port < g_->degree(v));
-    return offsets_[static_cast<std::size_t>(v)] + static_cast<std::size_t>(port);
-  }
-
-  const Graph* g_;
   std::vector<NodeShard> shards_;
-  std::vector<std::size_t> offsets_;   // CSR port offsets, size num_nodes + 1
-  std::vector<PortRoute> routes_;      // CSR layout parallel to the adjacency
-  std::vector<std::uint8_t> boundary_;  // same layout; 1 = crosses shards
-  std::int64_t num_boundary_edges_ = 0;
 };
 
 /// One edge shard: the contiguous id range [edge_begin, edge_end) weighted by

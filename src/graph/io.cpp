@@ -27,6 +27,15 @@ void expect_line_end(std::istringstream& ls, int line_no, const std::string& lin
   if (ls >> rest) fail(line_no, "unexpected trailing token '" + rest + "'", line);
 }
 
+/// Caps the header's node count before anything is sized by it.
+void expect_node_cap(long long n, int line_no, const std::string& line) {
+  if (n > kMaxEdgeListNodes) {
+    fail(line_no, "node count " + std::to_string(n) + " exceeds the limit of " +
+                      std::to_string(kMaxEdgeListNodes),
+         line);
+  }
+}
+
 }  // namespace
 
 Graph read_edge_list(std::istream& in) {
@@ -61,6 +70,7 @@ Graph read_edge_list(std::istream& in) {
       }
       if (!(ls >> n >> m) || n < 0 || m < 0) fail(line_no, "malformed DIMACS header", line);
       expect_line_end(ls, line_no, line);
+      expect_node_cap(n, line_no, line);
       dimacs = true;
       edges.reserve(static_cast<std::size_t>(std::min<long long>(m, 1 << 20)));
       continue;
@@ -87,6 +97,7 @@ Graph read_edge_list(std::istream& in) {
         fail(line_no, "malformed header (want 'n m' or 'p edge n m')", line);
       }
       expect_line_end(ls, line_no, line);
+      expect_node_cap(n, line_no, line);
       // Reserve is capped: a hostile header ("3 999999999999") must fall out
       // of the edge-count check as invalid_argument, not as bad_alloc here.
       edges.reserve(static_cast<std::size_t>(std::min<long long>(m, 1 << 20)));

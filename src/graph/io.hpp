@@ -6,7 +6,8 @@
 //     down automatically);
 //   * DIMACS: "p edge n m" header and "e u v" edge lines, 1-based ids.
 // '#' lines and DIMACS 'c' comment lines are ignored everywhere.  Malformed
-// input raises std::invalid_argument naming the offending line.  This is the
+// input, including a header declaring more than kMaxEdgeListNodes nodes,
+// raises std::invalid_argument naming the offending line.  This is the
 // interchange format the examples use to load custom topologies.
 #pragma once
 
@@ -16,6 +17,11 @@
 #include "src/graph/graph.hpp"
 
 namespace qplec {
+
+/// Largest node count a header may declare (2^24).  read_edge_list rejects a
+/// larger n before allocating anything sized by it, so a hostile header
+/// cannot narrow into a negative int or exhaust memory.
+inline constexpr long long kMaxEdgeListNodes = 1LL << 24;
 
 /// Parses a graph from an edge-list stream.  Throws std::invalid_argument on
 /// malformed input.

@@ -105,11 +105,9 @@ std::uint64_t fingerprint_policy(const Policy& policy) {
 std::uint64_t fingerprint_exec_knobs(const ExecConfig& config) {
   Fnv1a f;
   // Backend identity is part of the key: colors are bit-identical across
-  // backends, but the outcome's reporting surface (shards, rank-side stats)
-  // is not.  The greedy quantum and rank_msg_budget are NOT mixed — they
-  // change no outcome field at all.
+  // backends, but the outcome's reporting surface (shards) is not.  The
+  // greedy quantum is NOT mixed — it changes no outcome field at all.
   f.mix(static_cast<int>(config.backend));
-  f.mix(config.ranks);
   f.mix(config.shards);
   f.mix(config.min_sharded_edges);
   f.mix(config.use_neighbor_cache);

@@ -16,7 +16,6 @@
 #include "src/coloring/validate.hpp"
 #include "src/common/assert.hpp"
 #include "src/graph/io.hpp"
-#include "src/net/codec.hpp"  // net::BackendError -> SolveStatus::kBackendFailure
 #include "src/obs/trace.hpp"
 #include "src/runtime/batch_solver.hpp"  // hash_coloring
 #include "src/runtime/thread_pool.hpp"
@@ -99,8 +98,6 @@ const char* terminal_event_name(SolveStatus status) {
       return "invariant-violation";
     case SolveStatus::kQueueFull:
       return "queue-full";
-    case SolveStatus::kBackendFailure:
-      return "backend-failure";
   }
   return "unknown";
 }
@@ -158,8 +155,6 @@ const char* status_name(SolveStatus status) {
       return "invariant_violation";
     case SolveStatus::kQueueFull:
       return "queue_full";
-    case SolveStatus::kBackendFailure:
-      return "backend_failure";
   }
   return "unknown";
 }
@@ -975,10 +970,6 @@ void SolveService::run_job(SolveTicket::Job& job) const {
     out.solve_ms = ms_since(solve_start);
     out.status = SolveStatus::kInvalidInstance;
     out.error = e.what();
-  } catch (const net::BackendError& e) {
-    out.solve_ms = ms_since(solve_start);
-    out.status = SolveStatus::kBackendFailure;
-    out.error = e.what();
   } catch (const std::exception& e) {
     out.solve_ms = ms_since(solve_start);
     out.status = SolveStatus::kInvariantViolation;
@@ -1069,10 +1060,6 @@ void SolveService::run_churn_job(SolveTicket::Job& job) const {
   } catch (const std::invalid_argument& e) {
     out.solve_ms = ms_since(solve_start);
     out.status = SolveStatus::kInvalidInstance;
-    out.error = e.what();
-  } catch (const net::BackendError& e) {
-    out.solve_ms = ms_since(solve_start);
-    out.status = SolveStatus::kBackendFailure;
     out.error = e.what();
   } catch (const std::exception& e) {
     out.solve_ms = ms_since(solve_start);

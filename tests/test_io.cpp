@@ -89,6 +89,20 @@ TEST(GraphIo, MalformedInputsNameTheProblem) {
   expect_parse_error("3 1\np edge 3 1\n", "duplicate header");
 }
 
+TEST(GraphIo, HostileNodeCountRejectedBeforeAllocation) {
+  // Past INT_MAX (would narrow negative) and just under it (would allocate
+  // gigabytes before failing): both headers fail fast, naming their line.
+  for (const char* n : {"3000000000", "2000000000"}) {
+    expect_parse_error(std::string("p edge ") + n + " 1\ne 1 2\n", "exceeds the limit");
+    expect_parse_error(std::string("c comment\np edge ") + n + " 1\n", "line 2");
+    expect_parse_error(std::string(n) + " 1\n0 1\n", "exceeds the limit");
+    expect_parse_error(std::string("# comment\n") + n + " 1\n0 1\n", "line 2");
+  }
+  const std::string over = std::to_string(kMaxEdgeListNodes + 1);
+  expect_parse_error("p edge " + over + " 0\n", "exceeds the limit");
+  expect_parse_error(over + " 0\n", "exceeds the limit");
+}
+
 TEST(GraphIo, ErrorsReportLineNumbers) {
   expect_parse_error("3 3\n0 1\n0 x\n", "line 3");
 }

@@ -6,9 +6,8 @@
 //     equal the O(tree) reference walks after EVERY operation of randomized
 //     scope/charge sequences — the contract that makes progress checkpoints
 //     O(1) instead of a per-round ledger-tree walk.
-//   * The LOCAL engines (serial Engine, ShardedEngine) run node programs to
-//     identical outputs and EngineStats with superstep fusion on and off —
-//     including programs that go silent on some rounds, the case where a
+//   * The LOCAL engine runs node programs to identical outputs and
+//     EngineStats with superstep fusion on and off — including programs that go silent on some rounds, the case where a
 //     stale inbox slot would leak if the round stamps were wrong.
 //   * The full Solver is bit-identical (colors, rounds, raw rounds, the
 //     whole ledger report) across fusion {on, off} x validation tier
@@ -27,7 +26,6 @@
 
 #include "src/common/rng.hpp"
 #include "src/core/solver.hpp"
-#include "src/dist/sharded_engine.hpp"
 #include "src/graph/generators.hpp"
 #include "src/local/engine.hpp"
 #include "src/local/ledger.hpp"
@@ -105,7 +103,7 @@ TEST(RoundLoopLedger, DeepAlternatingNestStaysPinnedWhileUnwinding) {
   }
 }
 
-// ------------------------------------------------------- the LOCAL engines ---
+// -------------------------------------------------------- the LOCAL engine ---
 
 /// Goes silent on odd rounds: sends (id * 64 + round) on every port in init
 /// and on even rounds only, and every round folds what it received — with a
@@ -164,23 +162,6 @@ void expect_fusion_invisible_on(const Graph& g) {
   EXPECT_EQ(fused_stats.messages, ref_stats.messages);
   EXPECT_EQ(fused_stats.words, ref_stats.words);
   EXPECT_EQ(fused_stats.max_message_words, ref_stats.max_message_words);
-
-  for (const int shards : {1, 2, 7}) {
-    for (const bool fuse : {true, false}) {
-      ShardedEngine engine(g, shards, nullptr, fuse);
-      std::vector<std::uint64_t> out(static_cast<std::size_t>(g.num_nodes()), 0);
-      const EngineStats stats = engine.run(
-          [&](NodeId v) {
-            return std::make_unique<IntermittentProgram>(
-                6, &out[static_cast<std::size_t>(v)]);
-          },
-          1000);
-      EXPECT_EQ(out, reference) << "shards=" << shards << " fuse=" << fuse;
-      EXPECT_EQ(stats.rounds, ref_stats.rounds) << "shards=" << shards;
-      EXPECT_EQ(stats.messages, ref_stats.messages) << "shards=" << shards;
-      EXPECT_EQ(stats.words, ref_stats.words) << "shards=" << shards;
-    }
-  }
 }
 
 TEST(RoundLoopEngine, SkippedClearSweepIsInvisibleToSilentRoundPrograms) {

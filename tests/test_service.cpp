@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -334,6 +335,22 @@ TEST(SolveServiceSource, MissingFileIsAnOutcomeNotAThrow) {
   EXPECT_NE(out.error.find("cannot open"), std::string::npos) << out.error;
 }
 
+TEST(SolveServiceSource, HostileHeaderNodeCountIsInvalidInstance) {
+  // A 2-billion-node header must be rejected by the parser before it sizes
+  // anything by n: an invalid_instance outcome, not an OOM or a crash.
+  const std::string path = testing::TempDir() + "/qplec_service_hostile.dimacs";
+  {
+    std::ofstream out(path);
+    out << "p edge 2000000000 1\ne 1 2\n";
+  }
+  SolveService service;
+  const SolveOutcome out = service.solve(SolveRequest::from_dimacs(path));
+  EXPECT_EQ(out.status, SolveStatus::kInvalidInstance);
+  EXPECT_NE(out.error.find("line 1"), std::string::npos) << out.error;
+  EXPECT_NE(out.error.find("exceeds the limit"), std::string::npos) << out.error;
+  std::remove(path.c_str());
+}
+
 TEST(SolveServiceSource, InfeasibleInstanceIsAnOutcomeNotAThrow) {
   // A triangle where every edge is only allowed color 0: |L_e| < deg(e)+1,
   // rejected by Solver's precondition — surfaced as kInvalidInstance.
@@ -408,6 +425,21 @@ TEST(SolveService, CountersTrackLifecycle) {
   (void)t.wait();
   EXPECT_EQ(service.submitted(), 1u);
   EXPECT_EQ(service.completed(), 1u);
+}
+
+// kNumSolveStatuses sizes the per-status outcome counters: a count larger
+// than the enum registers a qplec_service_outcomes_total{status="unknown"}
+// series, a smaller one drops the last status from the telemetry.
+TEST(SolveService, StatusCountMatchesTheEnum) {
+  std::set<std::string> names;
+  for (int s = 0; s < kNumSolveStatuses; ++s) {
+    const std::string name = status_name(static_cast<SolveStatus>(s));
+    EXPECT_NE(name, "unknown") << "status " << s;
+    names.insert(name);
+  }
+  EXPECT_EQ(static_cast<int>(names.size()), kNumSolveStatuses);
+  EXPECT_EQ(static_cast<int>(SolveStatus::kQueueFull), kNumSolveStatuses - 1);
+  EXPECT_STREQ(status_name(static_cast<SolveStatus>(kNumSolveStatuses)), "unknown");
 }
 
 }  // namespace
