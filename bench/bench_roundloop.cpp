@@ -1,23 +1,17 @@
-// EXP-ROUNDLOOP: the fused round-loop schedule vs the PR 5 reference.
+// EXP-ROUNDLOOP: the round loop under each validation tier.
 //
 //   usage: bench_roundloop [--nodes N] [--degree D] [--repeats R]
 //                          [--shards S] [--out BENCH_roundloop.json]
-//                          [--min-roundloop-speedup X]
 //
 // Solves the shared 204800-edge regular stressor (bench/support.hpp; CI runs
-// reduced --nodes sweeps) three ways:
-//   * baseline  — fusion off, validation every_round: the PR 5 schedule
-//     (one barrier per sweep, every demoted invariant walk runs),
-//   * gated     — fusion on, validation sampled: the Release default the
-//     --min-roundloop-speedup gate measures,
-//   * fused_full — fusion on, validation every_round: informational, isolates
-//     the superstep fusion from the validation demotion.
-// All three legs must produce the same fingerprint (colors hash, effective
-// rounds, raw rounds) — a divergence exits 3, distinct from a perf miss
-// (exit 1) so CI's noisy-runner retry can absorb slow runs WITHOUT ever
-// masking a determinism violation.  Each leg's RoundProfile (supersteps,
-// sweeps saved, walks run/skipped, pass/validate/barrier wall-time splits)
-// is printed and written to the JSON.
+// reduced --nodes sweeps) two ways:
+//   * gated — validation sampled: the Release default,
+//   * full  — validation every_round: every demoted invariant walk runs.
+// Both legs must produce the same fingerprint (colors hash, effective
+// rounds, raw rounds) — a divergence exits 3.  Each leg's RoundProfile
+// (supersteps, walks run/skipped, pass/validate wall-time splits) is printed
+// and written to the JSON; the sampled-over-full wall-time ratio is
+// informational.
 //
 // The second experiment times the progress-checkpoint cost the incremental
 // ledger bought: total()/raw_total() (O(open-depth)/O(1)) vs the
@@ -48,7 +42,6 @@ using qplec::RoundProfile;
 
 struct Leg {
   std::string name;
-  bool fuse = false;
   qplec::ValidationTier tier = qplec::ValidationTier::kEveryRound;
   double wall_ms = 0.0;
   std::int64_t rounds = 0;
@@ -65,8 +58,7 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 int usage() {
   std::fprintf(stderr,
                "usage: bench_roundloop [--nodes N] [--degree D] [--repeats R] "
-               "[--shards S] [--out BENCH_roundloop.json] "
-               "[--min-roundloop-speedup X]\n");
+               "[--shards S] [--out BENCH_roundloop.json]\n");
   return 2;
 }
 
@@ -90,7 +82,6 @@ int main(int argc, char** argv) {
   int repeats = 1;
   int shards = 1;
   std::string out_path = "BENCH_roundloop.json";
-  double min_speedup = 0.0;  // 0 = no gate
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--nodes" && i + 1 < argc) {
@@ -103,24 +94,14 @@ int main(int argc, char** argv) {
       shards = std::atoi(argv[++i]);
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--min-roundloop-speedup" && i + 1 < argc) {
-      // Strict parse: a typo'd value must not silently disable the gate.
-      char* end = nullptr;
-      min_speedup = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || min_speedup <= 0.0) {
-        std::fprintf(stderr, "--min-roundloop-speedup: '%s' is not a positive number\n",
-                     argv[i]);
-        return usage();
-      }
     } else {
       return usage();
     }
   }
   if (nodes < 2 || degree < 1 || repeats < 1 || shards < 1) return usage();
 
-  bench::banner("EXP-ROUNDLOOP: superstep fusion + sampled validation",
-                "the fused/sampled round loop beats the split/every-round "
-                "schedule without changing a single output bit");
+  bench::banner("EXP-ROUNDLOOP: sampled vs every-round validation",
+                "the validation tier changes wall time, never a single output bit");
 
   std::printf("building the regular stressor...\n");
   const Graph g = bench::make_regular_stressor(nodes, degree);
@@ -131,22 +112,16 @@ int main(int argc, char** argv) {
 
   ThreadPool shard_pool(std::max(1, shards));
 
-  std::vector<Leg> legs(3);
-  legs[0].name = "baseline";
-  legs[0].fuse = false;
-  legs[0].tier = ValidationTier::kEveryRound;
-  legs[1].name = "gated";
-  legs[1].fuse = true;
-  legs[1].tier = ValidationTier::kSampled;
-  legs[2].name = "fused_full";
-  legs[2].fuse = true;
-  legs[2].tier = ValidationTier::kEveryRound;
+  std::vector<Leg> legs(2);
+  legs[0].name = "gated";
+  legs[0].tier = ValidationTier::kSampled;
+  legs[1].name = "full";
+  legs[1].tier = ValidationTier::kEveryRound;
   for (Leg& leg : legs) {
     ExecConfig exec;
     exec.shards = shards;
     exec.min_sharded_edges = 0;
     exec.shared_pool = shards > 1 ? &shard_pool : nullptr;
-    exec.fuse_supersteps = leg.fuse;
     exec.validation_tier = leg.tier;
     const Solver solver(Policy::practical(), exec);
     for (int r = 0; r < repeats; ++r) {
@@ -161,36 +136,31 @@ int main(int argc, char** argv) {
       leg.raw_rounds = res.raw_rounds;
       leg.colors_hash = hash_coloring(res.colors);
     }
-    std::printf("%-10s (%s, %s): wall=%9.1f ms  rounds=%lld\n", leg.name.c_str(),
-                leg.fuse ? "fused" : "split", validation_tier_name(leg.tier),
-                leg.wall_ms, static_cast<long long>(leg.rounds));
-    std::printf(
-        "            supersteps=%lld sweeps_saved=%lld walks run/skipped=%lld/%lld\n",
-        static_cast<long long>(leg.profile.supersteps),
-        static_cast<long long>(leg.profile.fused_sweeps_saved),
-        static_cast<long long>(leg.profile.validation_walks_run),
-        static_cast<long long>(leg.profile.validation_walks_skipped));
-    std::printf("            pass=%.1f ms  validate=%.1f ms  barrier=%.1f ms\n\n",
-                leg.profile.pass_ms, leg.profile.validate_ms, leg.profile.barrier_ms);
+    std::printf("%-6s (%s): wall=%9.1f ms  rounds=%lld\n", leg.name.c_str(),
+                validation_tier_name(leg.tier), leg.wall_ms,
+                static_cast<long long>(leg.rounds));
+    std::printf("        supersteps=%lld walks run/skipped=%lld/%lld\n",
+                static_cast<long long>(leg.profile.supersteps),
+                static_cast<long long>(leg.profile.validation_walks_run),
+                static_cast<long long>(leg.profile.validation_walks_skipped));
+    std::printf("        pass=%.1f ms  validate=%.1f ms\n\n", leg.profile.pass_ms,
+                leg.profile.validate_ms);
   }
 
-  // Fingerprint equality across the legs: the schedule knobs must be
+  // Fingerprint equality across the legs: the validation tier must be
   // invisible in every output the solver commits to.
   bool ok = true;
   for (const Leg& leg : legs) {
     if (leg.colors_hash != legs[0].colors_hash || leg.rounds != legs[0].rounds ||
         leg.raw_rounds != legs[0].raw_rounds) {
-      std::fprintf(stderr, "DETERMINISM VIOLATION: leg '%s' diverged from baseline\n",
-                   leg.name.c_str());
+      std::fprintf(stderr, "DETERMINISM VIOLATION: leg '%s' diverged from leg '%s'\n",
+                   leg.name.c_str(), legs[0].name.c_str());
       ok = false;
     }
   }
 
-  const double speedup = legs[1].wall_ms > 0 ? legs[0].wall_ms / legs[1].wall_ms : 0.0;
-  const double fusion_only =
-      legs[2].wall_ms > 0 ? legs[0].wall_ms / legs[2].wall_ms : 0.0;
-  std::printf("fused+sampled speedup over baseline: %5.2fx (fusion alone: %5.2fx)\n\n",
-              speedup, fusion_only);
+  const double speedup = legs[0].wall_ms > 0 ? legs[1].wall_ms / legs[0].wall_ms : 0.0;
+  std::printf("sampled speedup over every_round: %5.2fx (informational)\n\n", speedup);
 
   // ------------------------------------------------- greedy quantum sweep ---
   // The ExecConfig::greedy_batch_quantum knob: how the base-case greedy
@@ -205,14 +175,13 @@ int main(int argc, char** argv) {
     std::int64_t rounds = 0;
   };
   std::vector<QuantumLeg> quantum_legs;
-  std::printf("greedy batch quantum sweep (fused/sampled schedule):\n");
+  std::printf("greedy batch quantum sweep (sampled validation):\n");
   for (const int quantum : {1, 32, 128, 512}) {
     QuantumLeg leg{quantum, 0.0, 0, 0};
     ExecConfig exec;
     exec.shards = shards;
     exec.min_sharded_edges = 0;
     exec.shared_pool = shards > 1 ? &shard_pool : nullptr;
-    exec.fuse_supersteps = true;
     exec.validation_tier = ValidationTier::kSampled;
     exec.greedy_batch_quantum = quantum;
     const Solver solver(Policy::practical(), exec);
@@ -224,7 +193,7 @@ int main(int argc, char** argv) {
       leg.colors_hash = hash_coloring(res.colors);
       leg.rounds = res.rounds;
     }
-    if (leg.colors_hash != legs[1].colors_hash || leg.rounds != legs[1].rounds) {
+    if (leg.colors_hash != legs[0].colors_hash || leg.rounds != legs[0].rounds) {
       std::fprintf(stderr, "DETERMINISM VIOLATION: quantum=%d diverged from gated leg\n",
                    quantum);
       ok = false;
@@ -268,21 +237,6 @@ int main(int argc, char** argv) {
               ledger_ratio);
   (void)sink;
 
-  // The perf gate: the Release-default schedule must beat the PR 5 schedule
-  // by the requested factor on the regular stressor.
-  bool gate_ok = true;
-  if (min_speedup > 0.0) {
-    if (speedup < min_speedup) {
-      std::fprintf(stderr,
-                   "PERF GATE FAILED: fused+sampled speedup %.2fx < required %.2fx\n",
-                   speedup, min_speedup);
-      gate_ok = false;
-    } else {
-      std::printf("perf gate passed: fused+sampled at %.2fx (>= %.2fx)\n", speedup,
-                  min_speedup);
-    }
-  }
-
   std::ofstream out(out_path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -291,35 +245,30 @@ int main(int argc, char** argv) {
   auto leg_json = [](const Leg& l) {
     char hash[32];
     std::snprintf(hash, sizeof(hash), "%llx", static_cast<unsigned long long>(l.colors_hash));
-    std::string s = "{\"name\": \"" + l.name + "\", \"fuse_supersteps\": " +
-                    (l.fuse ? "true" : "false") + ", \"validation_tier\": \"" +
+    std::string s = "{\"name\": \"" + l.name + "\", \"validation_tier\": \"" +
                     validation_tier_name(l.tier) + "\", \"wall_ms\": " +
                     std::to_string(l.wall_ms) + ", \"rounds\": " +
                     std::to_string(l.rounds) + ", \"raw_rounds\": " +
                     std::to_string(l.raw_rounds) + ", \"colors_hash\": \"" + hash +
                     "\",\n     \"profile\": {\"supersteps\": " +
-                    std::to_string(l.profile.supersteps) + ", \"fused_sweeps_saved\": " +
-                    std::to_string(l.profile.fused_sweeps_saved) +
-                    ", \"validation_walks_run\": " +
+                    std::to_string(l.profile.supersteps) + ", \"validation_walks_run\": " +
                     std::to_string(l.profile.validation_walks_run) +
                     ", \"validation_walks_skipped\": " +
                     std::to_string(l.profile.validation_walks_skipped) +
                     ", \"pass_ms\": " + std::to_string(l.profile.pass_ms) +
-                    ", \"validate_ms\": " + std::to_string(l.profile.validate_ms) +
-                    ", \"barrier_ms\": " + std::to_string(l.profile.barrier_ms) + "}}";
+                    ", \"validate_ms\": " + std::to_string(l.profile.validate_ms) + "}}";
     return s;
   };
   out << "{\n  \"bench\": \"roundloop\",\n  \"algorithm\": \"bko_podc2020\",\n";
   out << "  \"deterministic\": " << (ok ? "true" : "false") << ",\n";
   out << "  \"nodes\": " << g.num_nodes() << ",\n  \"edges\": " << g.num_edges()
       << ",\n  \"shards\": " << shards << ",\n";
-  out << "  \"speedup\": " << speedup << ",\n  \"fusion_only_speedup\": " << fusion_only
-      << ",\n";
+  out << "  \"speedup\": " << speedup << ",\n";
   out << "  \"ledger\": {\"incremental_ns\": " << incremental_ns
       << ", \"raw_ns\": " << raw_ns << ", \"walked_ns\": " << walked_ns
       << ", \"ratio\": " << ledger_ratio << "},\n";
   // The quantum sweep rides as its own field: CI asserts legs has exactly
-  // the three schedule legs, so the sweep must not widen that array.
+  // the two tier legs, so the sweep must not widen that array.
   out << "  \"quantum_sweep\": [";
   for (std::size_t i = 0; i < quantum_legs.size(); ++i) {
     char qhash[32];
@@ -336,6 +285,5 @@ int main(int argc, char** argv) {
   }
   out << "  ]\n}\n";
   std::printf("wrote %s\n", out_path.c_str());
-  if (!ok) return 3;  // determinism violation: never retried away (exit 3)
-  return gate_ok ? 0 : 1;
+  return ok ? 0 : 3;  // exit 3: determinism violation
 }

@@ -21,7 +21,7 @@ namespace qplec::bench {
 
 // ------------------------------------------------------------- stressors ---
 // The standard large-instance stressors every single-instance scaling bench
-// sweeps (bench_sharded_scaling, bench_neighbor_cache) and CI gates against.
+// sweeps (bench_sharded_scaling, bench_roundloop) and CI gates against.
 // One definition here so the 204800-edge regular workload and the heavy-
 // tailed skew workload stay identical across benches instead of each binary
 // hard-coding its own sizes.

@@ -4,7 +4,6 @@
 //                      [--seed N] [--quiet] [--shards N] [--sharded-min-edges M]
 //                      [--backend auto|serial|sharded]
 //                      [--greedy-batch-quantum N]
-//                      [--no-neighbor-cache] [--no-fuse-supersteps]
 //                      [--no-result-cache] [--max-queue-depth N] [--churn N]
 //                      [--validation-tier off|sampled|every_round] [--stressors]
 //                      [--metrics-dump metrics.prom]
@@ -23,12 +22,8 @@
 // --backend serial pins the serial path whatever --shards says.
 // --greedy-batch-quantum sets the greedy batching quantum (<=1 disables
 // batching; fingerprints unchanged).
-// --no-neighbor-cache disables the incremental neighbor-color cache on every
-// solve (the full-rescan reference path; identical output) — CI diffs the
-// two reports to prove it.  --no-fuse-supersteps runs the split round-loop
-// schedule and --validation-tier sets the demoted-walk cadence; both leave
-// every fingerprint identical (the CI golden gate runs a fused-vs-unfused
-// leg against the same golden file).  --stressors appends large-instance stressor
+// --validation-tier sets the demoted-walk cadence; it leaves every
+// fingerprint identical.  --stressors appends large-instance stressor
 // scenarios sized by the shared bench/support.hpp constants (the same
 // 204800-edge regular + power-law parameters every scaling bench sweeps) to
 // the manifest.  NOTE: scenarios go through build_instance — scrambled
@@ -73,8 +68,7 @@ int usage() {
                "[--out BENCH_batch.json] [--seed N] [--quiet] "
                "[--shards N] [--sharded-min-edges M] "
                "[--backend auto|serial|sharded] "
-               "[--greedy-batch-quantum N] [--no-neighbor-cache] "
-               "[--no-fuse-supersteps] [--no-result-cache] "
+               "[--greedy-batch-quantum N] [--no-result-cache] "
                "[--max-queue-depth N] [--churn N] "
                "[--validation-tier off|sampled|every_round] [--stressors] "
                "[--metrics-dump metrics.prom]\n"
@@ -111,8 +105,6 @@ int main(int argc, char** argv) {
   std::string manifest_path;
   std::string out_path = "BENCH_batch.json";
   std::uint64_t seed = 42;
-  bool neighbor_cache = true;
-  bool fuse_supersteps = true;
   bool result_cache = true;
   int max_queue_depth = 0;
   int churn_ops = 0;
@@ -147,10 +139,6 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--no-neighbor-cache") {
-      neighbor_cache = false;
-    } else if (arg == "--no-fuse-supersteps") {
-      fuse_supersteps = false;
     } else if (arg == "--no-result-cache") {
       result_cache = false;
     } else if (arg == "--max-queue-depth" && i + 1 < argc) {
@@ -209,8 +197,6 @@ int main(int argc, char** argv) {
   config.shards = shards;
   config.backend = backend;
   config.greedy_batch_quantum = greedy_batch_quantum;
-  config.use_neighbor_cache = neighbor_cache;
-  config.fuse_supersteps = fuse_supersteps;
   config.validation_tier = validation_tier;
   if (sharded_min_edges >= 0) config.min_sharded_edges = sharded_min_edges;
   if (!result_cache) config.max_cache_entries = 0;

@@ -4,7 +4,6 @@
 //                    [--list-palette C] [--shards N] [--threads N]
 //                    [--backend auto|serial|sharded]
 //                    [--greedy-batch-quantum N]
-//                    [--no-neighbor-cache] [--no-fuse-supersteps]
 //                    [--no-result-cache] [--max-queue-depth N]
 //                    [--validation-tier off|sampled|every_round]
 //                    [--deadline-ms X] [--json] [--serial-compat]
@@ -35,11 +34,9 @@
 // surface; with an input FILE the request is submitted as a file source, so
 // the service reads, scrambles and builds the instance end-to-end.
 // --serial-compat bypasses the service and calls Solver::solve directly (the
-// reference path; bit-identical output).  --no-neighbor-cache disables the
-// incremental neighbor-color cache, --no-fuse-supersteps runs the split
-// round-loop schedule, --validation-tier sets the cadence of the demoted
-// invariant walks (all three leave the output bit-identical — they are the
-// ExecConfig knobs of src/common/exec_config.hpp).  --json embeds the full
+// reference path; bit-identical output).  --validation-tier sets the
+// cadence of the demoted invariant walks (output stays bit-identical; see
+// src/common/exec_config.hpp).  --json embeds the full
 // SolverStats, RoundProfile included, as a "stats" sub-object.  --verbose
 // adds wall time, per-round wall time and the ledger's phase breakdown.
 //
@@ -73,7 +70,6 @@ int usage() {
                "[--seed N] [--list-palette C] [--shards N] [--threads N] "
                "[--backend auto|serial|sharded] "
                "[--greedy-batch-quantum N] "
-               "[--no-neighbor-cache] [--no-fuse-supersteps] "
                "[--no-result-cache] [--max-queue-depth N] "
                "[--recolor-budget N] [--churn-file ops.txt] "
                "[--validation-tier off|sampled|every_round] [--deadline-ms X] "
@@ -168,8 +164,6 @@ int main(int argc, char** argv) {
   BackendKind backend = BackendKind::kAuto;
   int greedy_batch_quantum = ExecConfig{}.greedy_batch_quantum;
   double deadline_ms = -1.0;
-  bool neighbor_cache = true;
-  bool fuse_supersteps = true;
   bool result_cache = true;
   int max_queue_depth = 0;
   std::int64_t recolor_budget = ExecConfig{}.recolor_budget;
@@ -207,10 +201,6 @@ int main(int argc, char** argv) {
       greedy_batch_quantum = std::atoi(argv[++i]);
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
       deadline_ms = std::atof(argv[++i]);
-    } else if (arg == "--no-neighbor-cache") {
-      neighbor_cache = false;
-    } else if (arg == "--no-fuse-supersteps") {
-      fuse_supersteps = false;
     } else if (arg == "--no-result-cache") {
       result_cache = false;
     } else if (arg == "--max-queue-depth" && i + 1 < argc) {
@@ -255,8 +245,6 @@ int main(int argc, char** argv) {
   config.shard_threads = threads;
   config.backend = backend;
   config.greedy_batch_quantum = greedy_batch_quantum;
-  config.use_neighbor_cache = neighbor_cache;
-  config.fuse_supersteps = fuse_supersteps;
   config.validation_tier = validation_tier;
   config.trace_path = trace_path;
   if (!result_cache) config.max_cache_entries = 0;

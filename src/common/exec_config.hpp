@@ -5,12 +5,11 @@
 // (adding worker count), with BatchSolver lowering a third shape
 // (`BatchOptions`) onto both.  This header collapses the three: Solver,
 // SolverEngine, BatchSolver, SolveService, cli_solve and every bench consume
-// the same struct, and the round-loop knobs introduced with the superstep
-// work (`fuse_supersteps`, `validation_tier`) live here exactly once.
+// the same struct, and the round-loop knob (`validation_tier`) lives here
+// exactly once.
 //
 // Determinism: nothing in this struct may change the solver's *output*.
-// Shards/workers/pool sizing only re-partition bit-identical work;
-// `fuse_supersteps` merges read-only sweeps that share a round barrier; the
+// Shards/workers/pool sizing only re-partition bit-identical work; the
 // validation tier only decides whether assert/telemetry walks run.  The
 // differential suite (tests/test_roundloop.cpp) pins every combination to
 // one fingerprint.
@@ -54,10 +53,10 @@ ValidationTier default_validation_tier();
 /// Deterministic gate for one engine's demoted validation walks.  Call
 /// due() once per candidate walk site, in serial control flow only: the
 /// answer depends solely on (tier, period, call count), so for a fixed
-/// config the same walks run regardless of shard count, cache mode or
-/// wall-clock — and since gated walks never mutate solver state, the solved
-/// colors are identical across tiers too.  The first due() of a gate always
-/// fires under kSampled, so every engine validates its opening round.
+/// config the same walks run regardless of shard count or wall-clock — and
+/// since gated walks never mutate solver state, the solved colors are
+/// identical across tiers too.  The first due() of a gate always fires under
+/// kSampled, so every engine validates its opening round.
 class ValidationGate {
  public:
   ValidationGate() = default;
@@ -129,20 +128,6 @@ struct ExecConfig {
   /// round fan-outs on it (ThreadPool::run_indexed is lease-safe).
   ThreadPool* shared_pool = nullptr;
 
-  /// Maintain a NeighborColorCache per engine (src/dist/neighbor_cache.hpp):
-  /// the refresh/restrict passes consume per-round deltas of newly finalized
-  /// neighbor colors instead of rescanning full neighborhoods every round.
-  /// Output is bit-identical either way; off is a debugging/benchmark
-  /// reference path.
-  bool use_neighbor_cache = true;
-
-  /// Fuse the round-head sweeps that share one round barrier (list refresh +
-  /// induced-degree measurement + due validation) into a single backend
-  /// pass, and skip the inbox-clear pass of the LOCAL engine (round-stamped
-  /// inbox slots make it redundant).  Ledger charges and solved colors are
-  /// bit-identical with fusion off — off is the PR 5 reference schedule.
-  bool fuse_supersteps = true;
-
   /// Cadence of the demoted invariant walks (see ValidationTier).
   ValidationTier validation_tier = default_validation_tier();
 
@@ -189,9 +174,8 @@ struct ExecConfig {
   /// over the edges needing new colors — exceeds this falls back to a full
   /// re-solve of the mutated instance (then bit-identical to a from-scratch
   /// submit).  <= 0 disables local repair entirely: every update falls back.
-  /// This mirrors NeighborColorCache's materialization budget at
-  /// repair-region scale: the repair materializes live rows only for the
-  /// region, so the budget bounds that allocation too.
+  /// The repair walks every region edge's neighborhood, so the budget bounds
+  /// that walk too.
   std::int64_t recolor_budget = std::int64_t{1} << 20;
 
   /// True when the service layers a result cache over its queue.

@@ -14,30 +14,6 @@
 
 namespace qplec {
 
-namespace {
-
-/// Process-wide cache-outcome counters, resolved once (function-local
-/// statics keep hot engine construction off the registry map).  "hit": the
-/// engine built a NeighborColorCache; "budget_reject": fits() said the rows
-/// would dwarf the graph; "fallback": the config disabled the cache.
-struct CacheModeCounters {
-  obs::Counter& hit;
-  obs::Counter& budget_reject;
-  obs::Counter& fallback;
-
-  static CacheModeCounters& get() {
-    auto& reg = obs::MetricsRegistry::global();
-    static CacheModeCounters c{
-        reg.counter("qplec_cache_engines_total{mode=\"hit\"}"),
-        reg.counter("qplec_cache_engines_total{mode=\"budget_reject\"}"),
-        reg.counter("qplec_cache_engines_total{mode=\"fallback\"}"),
-    };
-    return c;
-  }
-};
-
-}  // namespace
-
 SolverEngine::SolverEngine(const Graph& g, std::vector<ColorList> lists, Color palette,
                            std::vector<std::uint64_t> phi, std::uint64_t phi_palette,
                            const Policy& policy, RoundLedger& ledger, SolverStats& stats,
@@ -56,22 +32,10 @@ SolverEngine::SolverEngine(const Graph& g, std::vector<ColorList> lists, Color p
       config_(config),
       gate_(config.make_validation_gate()),
       control_(control),
-      final_(static_cast<std::size_t>(g.num_edges()), kUncolored) {
+      final_(static_cast<std::size_t>(g.num_edges()), kUncolored),
+      cache_(g, final_, *exec_) {
   QPLEC_REQUIRE(work_.size() == static_cast<std::size_t>(g.num_edges()));
   QPLEC_REQUIRE(phi_.size() == static_cast<std::size_t>(g.num_edges()));
-  // Hub-heavy graphs fail NeighborColorCache::fits (the rows would dwarf
-  // the graph); they silently run the bit-identical full-rescan path.  The
-  // mode counters make that silence observable.
-  if (g_.num_edges() > 0) {
-    if (!config_.use_neighbor_cache) {
-      CacheModeCounters::get().fallback.inc();
-    } else if (NeighborColorCache::fits(g_)) {
-      cache_ = std::make_unique<NeighborColorCache>(g_, final_, *exec_);
-      CacheModeCounters::get().hit.inc();
-    } else {
-      CacheModeCounters::get().budget_reject.inc();
-    }
-  }
   note_depth(depth);
 }
 
@@ -126,160 +90,73 @@ EdgeColoring SolverEngine::finish_solve() {
     QPLEC_ASSERT_MSG(is_proper_edge_coloring(g_, final_, &why),
                      "engine output invalid: " << why);
   }
-  if (cache_) {
-    stats_.cache_flushes += cache_->flushes();
-    stats_.cache_deltas += cache_->deltas_noted();
-    stats_.cache_colors_removed += cache_->colors_removed();
-    // Fold this engine's cache telemetry into the process-wide series (once
-    // per engine, off the hot path).
-    auto& reg = obs::MetricsRegistry::global();
-    static obs::Counter& flushes = reg.counter("qplec_cache_flushes_total");
-    static obs::Counter& deltas = reg.counter("qplec_cache_deltas_total");
-    static obs::Counter& removed = reg.counter("qplec_cache_colors_removed_total");
-    flushes.inc(static_cast<std::uint64_t>(cache_->flushes()));
-    deltas.inc(static_cast<std::uint64_t>(cache_->deltas_noted()));
-    removed.inc(static_cast<std::uint64_t>(cache_->colors_removed()));
-  }
+  stats_.cache_flushes += cache_.flushes();
+  stats_.cache_deltas += cache_.deltas_noted();
+  stats_.cache_colors_removed += cache_.colors_removed();
+  // Fold this engine's cache telemetry into the process-wide series (once
+  // per engine, off the hot path).
+  auto& reg = obs::MetricsRegistry::global();
+  static obs::Counter& flushes = reg.counter("qplec_cache_flushes_total");
+  static obs::Counter& deltas = reg.counter("qplec_cache_deltas_total");
+  static obs::Counter& removed = reg.counter("qplec_cache_colors_removed_total");
+  flushes.inc(static_cast<std::uint64_t>(cache_.flushes()));
+  deltas.inc(static_cast<std::uint64_t>(cache_.deltas_noted()));
+  removed.inc(static_cast<std::uint64_t>(cache_.colors_removed()));
   return final_;
 }
 
-void SolverEngine::refresh_lists(const EdgeSubset& H) {
-  ledger_.charge(1, "refresh-lists");
-  const PassTimer timer(stats_.refresh_ms, "refresh");
-  if (cache_) {
-    // Incremental path: drain the round's finalize log, then each member
-    // sweeps only its live row (plus its deferred pending colors) — exactly
-    // the colors of neighbors finalized since ITS previous sweep, which
-    // (removal being idempotent) leaves exactly the list the full rescan
-    // below would.
-    cache_->flush();
-    exec_->for_members(H, [&](int lane, EdgeId e) {
-      cache_->consume(lane, e, work_[static_cast<std::size_t>(e)]);
-    });
-    return;
-  }
-  // Edge-local step: e reads committed neighbor colors, mutates only its own
-  // list — safe for any backend.
-  exec_->for_members(H, [&](int, EdgeId e) {
-    g_.for_each_edge_neighbor(e, [&](EdgeId f) {
-      const Color cf = final_[static_cast<std::size_t>(f)];
-      if (cf != kUncolored) work_[static_cast<std::size_t>(e)].remove(cf);
-    });
-  });
-}
-
-int SolverEngine::induced_degree(int lane, EdgeId e, const EdgeSubset& s) const {
-  // The cached count walks the live row (subsets of the round loop hold
-  // only unfinalized edges, so dropping finalized neighbors loses nothing).
-  if (cache_) return cache_->induced_degree(lane, e, s);
-  return s.induced_edge_degree(g_, e);
-}
-
-int SolverEngine::max_induced_degree(const EdgeSubset& s) const {
+int SolverEngine::max_induced_degree(const EdgeSubset& s) {
   DeterministicReducer<int> deg(exec_->lanes(), 0);
   exec_->for_members(s, [&](int lane, EdgeId e) {
-    deg.lane(lane) = std::max(deg.lane(lane), induced_degree(lane, e, s));
+    deg.lane(lane) = std::max(deg.lane(lane), cache_.induced_degree(lane, e, s));
   });
   return deg.max();
 }
 
 int SolverEngine::round_head(const EdgeSubset& H, const char* invariant) {
   const bool validate = validation_due();
-
-  if (config_.fuse_supersteps) {
-    // One superstep: the list refresh, the degree measurement and (when
-    // due) the feasibility walk all read committed neighbor state and write
-    // only e-owned state or lane-indexed accumulators, and in the split
-    // schedule nothing between their barriers mutates either — so merging
-    // them into one pass is bit-identical and collapses two (or three)
-    // round barriers into one.  The ledger still sees exactly the single
-    // refresh round the split schedule charges.
-    ledger_.charge(1, "refresh-lists");
-    ++stats_.profile.supersteps;
-    stats_.profile.fused_sweeps_saved += validate ? 2 : 1;
-    const PassTimer profile_timer(stats_.profile.pass_ms, "superstep");
-    const PassTimer timer(stats_.refresh_ms);
-    DeterministicReducer<int> deg(exec_->lanes(), 0);
-    if (cache_) cache_->flush();
-    exec_->for_members(H, [&](int lane, EdgeId e) {
-      auto& list = work_[static_cast<std::size_t>(e)];
-      if (cache_) {
-        cache_->consume(lane, e, list);
-      } else {
-        g_.for_each_edge_neighbor(e, [&](EdgeId f) {
-          const Color cf = final_[static_cast<std::size_t>(f)];
-          if (cf != kUncolored) list.remove(cf);
-        });
-      }
-      const int di = induced_degree(lane, e, H);
-      deg.lane(lane) = std::max(deg.lane(lane), di);
-      if (validate) {
-        QPLEC_ASSERT_MSG(list.size() >= di + 1, invariant << " violated at edge " << e);
-      }
-    });
-    return deg.max();
-  }
-
-  // Split schedule (the PR 5 reference): one barrier per sweep.
-  {
-    const PassTimer profile_timer(stats_.profile.pass_ms);
-    refresh_lists(H);
-  }
-  int d = 0;
-  {
-    const PassTimer barrier_timer(stats_.profile.barrier_ms, "measure");
-    d = max_induced_degree(H);
-  }
-  if (validate) {
-    const PassTimer validate_timer(stats_.profile.validate_ms, "validate");
-    exec_->for_members(H, [&](int lane, EdgeId e) {
-      QPLEC_ASSERT_MSG(work_[static_cast<std::size_t>(e)].size() >=
-                           induced_degree(lane, e, H) + 1,
-                       invariant << " violated at edge " << e);
-    });
-  }
-  return d;
+  // One superstep: the list refresh, the degree measurement and (when due)
+  // the feasibility walk all read committed neighbor state and write only
+  // e-owned state or lane-indexed accumulators, so they share one pass and
+  // one round barrier.  The cache consumes only the colors of neighbors
+  // finalized since each edge's previous sweep, which (removal being
+  // idempotent) leaves exactly the list a full rescan would.
+  ledger_.charge(1, "refresh-lists");
+  ++stats_.profile.supersteps;
+  const PassTimer profile_timer(stats_.profile.pass_ms, "superstep");
+  const PassTimer timer(stats_.refresh_ms);
+  DeterministicReducer<int> deg(exec_->lanes(), 0);
+  cache_.flush();
+  exec_->for_members(H, [&](int lane, EdgeId e) {
+    auto& list = work_[static_cast<std::size_t>(e)];
+    cache_.consume(lane, e, list);
+    const int di = cache_.induced_degree(lane, e, H);
+    deg.lane(lane) = std::max(deg.lane(lane), di);
+    if (validate) {
+      QPLEC_ASSERT_MSG(list.size() >= di + 1, invariant << " violated at edge " << e);
+    }
+  });
+  return deg.max();
 }
 
 int SolverEngine::relaxed_head(const EdgeSubset& A, double slack, Color lo, Color hi) {
   const bool validate = validation_due();
-
-  // Entry invariant of P(dbar, S, C): |L_e| > slack * deg_A(e), lists within
-  // [lo, hi).  Pure reads — fusable with the degree measurement.
-  const auto entry_check = [&](int lane, EdgeId e, int di) {
+  ++stats_.profile.supersteps;
+  const PassTimer profile_timer(stats_.profile.pass_ms, "relaxed-superstep");
+  DeterministicReducer<int> deg(exec_->lanes(), 0);
+  exec_->for_members(A, [&](int lane, EdgeId e) {
+    const int di = cache_.induced_degree(lane, e, A);
+    deg.lane(lane) = std::max(deg.lane(lane), di);
+    if (!validate) return;
+    // Entry invariant of P(dbar, S, C): |L_e| > slack * deg_A(e), lists
+    // within [lo, hi).
     const auto& list = work_[static_cast<std::size_t>(e)];
     QPLEC_ASSERT(!list.empty());
     QPLEC_ASSERT(list.colors().front() >= lo && list.colors().back() < hi);
     QPLEC_ASSERT_MSG(static_cast<double>(list.size()) > slack * di - 1e-9,
                      "relaxed entry slack violated at edge " << e);
-    (void)lane;
-  };
-
-  if (config_.fuse_supersteps) {
-    if (validate) ++stats_.profile.fused_sweeps_saved;
-    ++stats_.profile.supersteps;
-    const PassTimer profile_timer(stats_.profile.pass_ms, "relaxed-superstep");
-    DeterministicReducer<int> deg(exec_->lanes(), 0);
-    exec_->for_members(A, [&](int lane, EdgeId e) {
-      const int di = induced_degree(lane, e, A);
-      deg.lane(lane) = std::max(deg.lane(lane), di);
-      if (validate) entry_check(lane, e, di);
-    });
-    return deg.max();
-  }
-
-  int d = 0;
-  {
-    const PassTimer barrier_timer(stats_.profile.barrier_ms, "measure");
-    d = max_induced_degree(A);
-  }
-  if (validate) {
-    const PassTimer validate_timer(stats_.profile.validate_ms, "validate");
-    exec_->for_members(A, [&](int lane, EdgeId e) {
-      entry_check(lane, e, induced_degree(lane, e, A));
-    });
-  }
-  return d;
+  });
+  return deg.max();
 }
 
 void SolverEngine::solve_basecase(const EdgeSubset& H) {
@@ -293,7 +170,7 @@ void SolverEngine::solve_basecase(const EdgeSubset& H) {
   // flush (lane queues concatenate to ascending id order either way).
   exec_->for_members(H, [&](int lane, EdgeId e) {
     QPLEC_ASSERT(final_[static_cast<std::size_t>(e)] != kUncolored);
-    if (cache_) cache_->note_finalized(lane, e);
+    cache_.note_finalized(lane, e);
   });
 }
 
@@ -326,7 +203,7 @@ void SolverEngine::solve_no_slack(EdgeSubset H, int depth) {
     const bool defect_due = validation_due();
     DeterministicReducer<double> defect_ratio(exec_->lanes(), stats_.max_defect_ratio);
     exec_->for_members(H, [&](int lane, EdgeId e) {
-      deg0[static_cast<std::size_t>(e)] = induced_degree(lane, e, H);
+      deg0[static_cast<std::size_t>(e)] = cache_.induced_degree(lane, e, H);
       if (!defect_due) return;
       const int defect = edge_defect(g_, H, dc.cls, e);
       if (defect > 0) {
@@ -359,24 +236,17 @@ void SolverEngine::solve_no_slack(EdgeSubset H, int depth) {
       // Marking round: remove used neighbor colors, test |L_e| > deg(e)/2.
       // The pruning is e-local; the activity verdicts land in per-edge flags
       // and the subset is built serially from them (identical membership for
-      // any lane layout).  The cached path consumes only the deltas the
-      // previous classes of this loop finalized.
+      // any lane layout).  The cache consumes only the deltas the previous
+      // classes of this loop finalized.
       ledger_.charge(1, "mark-active");
       std::vector<std::uint8_t> is_active(bucket.size(), 0);
       {
         const PassTimer timer(stats_.refresh_ms, "mark-active");
-        if (cache_) cache_->flush();
+        cache_.flush();
         exec_->for_indices(static_cast<int>(bucket.size()), [&](int lane, int t) {
           const EdgeId e = bucket[static_cast<std::size_t>(t)];
           auto& list = work_[static_cast<std::size_t>(e)];
-          if (cache_) {
-            cache_->consume(lane, e, list);
-          } else {
-            g_.for_each_edge_neighbor(e, [&](EdgeId f) {
-              const Color cf = final_[static_cast<std::size_t>(f)];
-              if (cf != kUncolored) list.remove(cf);
-            });
-          }
+          cache_.consume(lane, e, list);
           if (2 * list.size() > deg0[static_cast<std::size_t>(e)]) {
             is_active[static_cast<std::size_t>(t)] = 1;
           }
@@ -394,7 +264,7 @@ void SolverEngine::solve_no_slack(EdgeSubset H, int depth) {
         if (validation_due()) {
           const PassTimer validate_timer(stats_.profile.validate_ms, "validate-slack");
           exec_->for_members(active, [&](int lane, EdgeId e) {
-            const int dprime = induced_degree(lane, e, active);
+            const int dprime = cache_.induced_degree(lane, e, active);
             QPLEC_ASSERT_MSG(
                 work_[static_cast<std::size_t>(e)].size() >
                     static_cast<std::int64_t>(beta) * dprime,
@@ -437,7 +307,7 @@ void SolverEngine::solve_relaxed(EdgeSubset A, double slack, Color lo, Color hi,
     ledger_.charge(1, "trivial-pick");
     exec_->for_members(A, [&](int lane, EdgeId e) {
       final_[static_cast<std::size_t>(e)] = work_[static_cast<std::size_t>(e)].min();
-      if (cache_) cache_->note_finalized(lane, e);
+      cache_.note_finalized(lane, e);
     });
     return;
   }

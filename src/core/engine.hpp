@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/coloring/palette.hpp"
@@ -41,35 +40,28 @@
 
 namespace qplec {
 
-/// How the engine actually scheduled its round loop: superstep fusion,
+/// How the engine actually scheduled its round loop: supersteps,
 /// validation-tier decisions and where the wall time between round barriers
 /// went.  The counters are deterministic for a fixed ExecConfig (they follow
 /// the serial control flow, not the lane layout); the *_ms splits are wall
 /// time — real but non-deterministic, never part of a fingerprint.
 struct RoundProfile {
-  /// Fused round-head sweeps executed (refresh + degree measurement + due
+  /// Round-head sweeps executed (refresh + degree measurement + due
   /// validation sharing one backend pass / one round barrier).
   std::int64_t supersteps = 0;
-  /// Separate sweeps (each its own barrier in the split schedule) that
-  /// fusion merged away.
-  std::int64_t fused_sweeps_saved = 0;
   /// Demoted invariant walks that ran / that the validation tier skipped.
   std::int64_t validation_walks_run = 0;
   std::int64_t validation_walks_skipped = 0;
   /// SolveControl polls (0 when no control is attached).
   std::int64_t checkpoints = 0;
-  /// Round-head sweeps: the fused superstep, or the refresh pass alone in
-  /// the split schedule.
+  /// Round-head sweeps (the supersteps).
   double pass_ms = 0.0;
-  /// Standalone demoted validation walks that ran (split schedule; fused
-  /// validation is inside pass_ms).
+  /// Standalone demoted validation walks that ran (validation inside a
+  /// superstep is in pass_ms).
   double validate_ms = 0.0;
   /// Progress-snapshot cost inside checkpoints — the ledger-total reads the
   /// incremental ledger made O(1)/O(depth).
   double ledger_ms = 0.0;
-  /// Extra standalone measurement sweeps (their own round barriers) the
-  /// split schedule pays and fusion eliminates.
-  double barrier_ms = 0.0;
 };
 
 struct SolverStats {
@@ -90,18 +82,17 @@ struct SolverStats {
   /// Measured defect tightness: max of defect(e) / (deg(e)/(2*beta)).
   double max_defect_ratio = 0.0;
 
-  // NeighborColorCache telemetry (0 on the uncached path).  Deterministic
-  // for a given instance and shard count-invariant: one delta per finalized
-  // edge, one removed pair per (edge, finalized neighbor), summed over the
-  // engine and its children.
+  // NeighborColorCache telemetry.  Deterministic for a given instance and
+  // shard count-invariant: one delta per finalized edge, one removed pair
+  // per (edge, finalized neighbor) in row mode (none in rescan mode), summed
+  // over the engine and its children.
   std::int64_t cache_flushes = 0;
   std::int64_t cache_deltas = 0;
   std::int64_t cache_colors_removed = 0;
 
   // Wall time accumulated in the refresh/mark-active passes and in the
   // Lemma 4.3 restriction passes (engine + children).  NOT deterministic —
-  // never compare across runs; BENCH_cache.json reports the cached vs
-  // uncached ratio of exactly these.
+  // never compare across runs.
   double refresh_ms = 0.0;
   double restrict_ms = 0.0;
 
@@ -120,16 +111,13 @@ class SolverEngine {
   /// src/coloring routes through it); null = serial; the backend must shard
   /// this g.  Children created by the recursion run serial: their virtual
   /// graphs are orders of magnitude smaller.
-  /// config: the round-loop knobs of the unified ExecConfig —
-  /// use_neighbor_cache (maintain a NeighborColorCache so the refresh /
-  /// mark-active / Lemma 4.3 restriction passes consume per-round deltas
-  /// instead of rescanning full neighborhoods), fuse_supersteps (merge the
-  /// round-head sweeps sharing a barrier into one backend pass) and the
-  /// validation tier (cadence of the demoted invariant walks).  Children
-  /// inherit the config; every combination is bit-identical (the
-  /// differential suite in tests/test_roundloop.cpp pins it).  The engine
-  /// ignores the sharding fields — the caller already resolved them into
-  /// `exec`.
+  /// config: the round-loop knobs of the unified ExecConfig — the
+  /// validation tier (cadence of the demoted invariant walks) and the greedy
+  /// batch quantum.  Children inherit the config; every combination is
+  /// bit-identical (the differential suite in tests/test_roundloop.cpp pins
+  /// it).  The engine ignores the sharding fields — the caller already
+  /// resolved them into `exec`.  The refresh / mark-active / Lemma 4.3
+  /// restriction passes always go through the engine's NeighborColorCache.
   /// control: optional cancellation/deadline/progress hook, polled at the
   /// serial points between rounds only (children inherit the pointer); a
   /// cancelled solve unwinds with SolveInterrupted, a completed solve is
@@ -139,6 +127,10 @@ class SolverEngine {
                const Policy& policy, RoundLedger& ledger, SolverStats& stats, int depth,
                const ExecBackend* exec = nullptr, const ExecConfig& config = {},
                const SolveControl* control = nullptr);
+
+  // The cache points into final_: an engine never moves.
+  SolverEngine(const SolverEngine&) = delete;
+  SolverEngine& operator=(const SolverEngine&) = delete;
 
   /// Colors every edge; the result is proper (asserted) and each edge's
   /// color comes from the list the engine was given.
@@ -177,25 +169,18 @@ class SolverEngine {
   // Base case: O(d^2 + log* X) conflict solve on H's induced line graph.
   void solve_basecase(const EdgeSubset& H);
 
-  // One synchronous round in which every edge of H deletes the final colors
-  // of its (whole-graph) neighbors from its working list.  On the cached
-  // path this consumes only the deltas finalized since each edge's previous
-  // refresh (same resulting lists).
-  void refresh_lists(const EdgeSubset& H);
-
-  // The round head shared by solve_no_slack and solve_basecase: refresh the
-  // lists of H, measure max induced degree, and (when the validation gate
-  // fires) walk the (deg+1) feasibility invariant — fused into ONE backend
-  // pass under config_.fuse_supersteps, or run as the PR 5 split schedule
-  // (one barrier per sweep) otherwise.  Charges exactly the one refresh
-  // round either way; returns the measured degree.  `invariant` labels the
-  // feasibility assert's message.
+  // The round head shared by solve_no_slack and solve_basecase, one
+  // superstep: every edge of H deletes the colors of its newly finalized
+  // neighbors from its working list, the max induced degree is measured,
+  // and (when the validation gate fires) the (deg+1) feasibility invariant
+  // is walked — all in ONE backend pass.  Charges the one refresh round;
+  // returns the measured degree.  `invariant` labels the feasibility
+  // assert's message.
   int round_head(const EdgeSubset& H, const char* invariant);
 
   // The solve_relaxed entry head: measure max induced degree over A and
-  // (when the gate fires) walk the P(dbar, S, C) entry invariant — fused
-  // into one pass, or split, by the same rule.  Charges nothing (neither
-  // sweep is a communication round).
+  // (when the gate fires) walk the P(dbar, S, C) entry invariant in one
+  // pass.  Charges nothing (it is not a communication round).
   int relaxed_head(const EdgeSubset& A, double slack, Color lo, Color hi);
 
   // Draws the validation gate for one demoted walk site and records the
@@ -205,13 +190,8 @@ class SolverEngine {
   // max_induced_edge_degree(s) computed through the execution backend (a
   // shard-parallel max reduction on the sharded path).  Valid only for
   // subsets of unfinalized edges — every subset the round loop builds — so
-  // the cached path may count over live neighbors.
-  int max_induced_degree(const EdgeSubset& s) const;
-
-  // Induced degree of one edge within such a subset (cache-aware; `lane` is
-  // the backend lane of the calling pass — the cache's counters and row
-  // sweeps are lane-indexed).
-  int induced_degree(int lane, EdgeId e, const EdgeSubset& s) const;
+  // the cache may count over live neighbors.
+  int max_induced_degree(const EdgeSubset& s);
 
   void note_depth(int depth);
 
@@ -245,7 +225,7 @@ class SolverEngine {
   ValidationGate gate_;      ///< per-engine cadence of the demoted walks
   const SolveControl* control_;  ///< null when uncontrolled; children inherit
   EdgeColoring final_;
-  std::unique_ptr<NeighborColorCache> cache_;  ///< null on the uncached path
+  NeighborColorCache cache_;  ///< watches final_; rows or rescan mode by fits(g_)
 };
 
 }  // namespace qplec

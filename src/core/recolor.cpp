@@ -10,7 +10,6 @@
 #include "src/coloring/validate.hpp"
 #include "src/common/assert.hpp"
 #include "src/dist/backend.hpp"
-#include "src/dist/neighbor_cache.hpp"
 #include "src/graph/builder.hpp"
 #include "src/graph/subset.hpp"
 #include "src/local/ledger.hpp"
@@ -189,18 +188,19 @@ RecolorOutcome repair_recolor(const RecolorPlan& plan, const Policy& policy,
   }
 
   // Effective lists: L'_e minus the colors of carried (finalized) neighbors.
-  // The NeighborColorCache's churn row build materializes live rows ONLY for
-  // the region — the delta-application path, not the full O(sum deg^2)
-  // rebuild — and one consume per region edge removes exactly the carried
-  // neighbor colors.  One gather round, fanned out over the backend.
+  // Each region edge walks its own neighborhood once, so the gather costs
+  // the region payload, not the graph.  One gather round, fanned out over
+  // the backend.
   const trace::Span span("churn-repair", "solver");
   auto scope = ledger.sequential("churn-repair");
-  NeighborColorCache rows(g2, plan.carried, backend, &region);
   std::vector<ColorList> effective(static_cast<std::size_t>(m2));
-  backend.for_members(region, [&](int lane, EdgeId e) {
+  backend.for_members(region, [&](int, EdgeId e) {
     ColorList& list = effective[static_cast<std::size_t>(e)];
     list = plan.mutated.lists[static_cast<std::size_t>(e)];
-    rows.consume(lane, e, list);
+    g2.for_each_edge_neighbor(e, [&](EdgeId f) {
+      const Color cf = plan.carried[static_cast<std::size_t>(f)];
+      if (cf != kUncolored) list.remove(cf);
+    });
   });
   ledger.charge(1, "churn-gather");
   checkpoint();

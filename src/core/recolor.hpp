@@ -21,13 +21,11 @@
 //
 // The repair itself is the repo's base-case machinery, unchanged: the region
 // is a LineGraphConflict subset, effective lists are the mutated lists minus
-// the colors of finalized (carried) neighbors — computed through the
-// NeighborColorCache's churn-delta row build, which materializes live rows
-// only for the region instead of rebuilding the full O(sum deg^2) payload —
-// and solve_conflict_list Linial-reduces an id coloring and sweeps.  Every
-// stage routes through ExecBackend, so the repaired colors are bit-identical
-// across shard counts, fusion modes and cache settings, exactly like a full
-// solve.
+// the colors of finalized (carried) neighbors — one neighborhood walk per
+// region edge, so the gather scales with the region payload — and
+// solve_conflict_list Linial-reduces an id coloring and sweeps.  Every stage
+// routes through ExecBackend, so the repaired colors are bit-identical
+// across shard counts and validation tiers, exactly like a full solve.
 #pragma once
 
 #include <cstdint>

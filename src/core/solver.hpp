@@ -36,9 +36,9 @@ class Solver {
   /// config carries the unified execution knobs (src/common/exec_config.hpp):
   /// the default runs the seed's serial path; ExecConfig{.shards = S}
   /// simulates the instance's rounds S-way parallel (src/dist) once the
-  /// graph crosses config.min_sharded_edges; fuse_supersteps and the
-  /// validation tier select the round-loop schedule.  Results are
-  /// bit-identical across backends, shard counts, fusion modes and tiers.
+  /// graph crosses config.min_sharded_edges; the validation tier selects
+  /// the round-loop schedule.  Results are bit-identical across backends,
+  /// shard counts and tiers.
   explicit Solver(Policy policy = Policy::practical(), ExecConfig config = {})
       : policy_(std::move(policy)), config_(config) {}
 

@@ -51,24 +51,18 @@ std::vector<int> SolverEngine::assign_subspaces(const EdgeSubset& A, Color lo, C
     sizes[i] = intersection_sizes(work_[i], lo, partition);
     list_size[i] = work_[i].size();
     level[i] = compute_level(sizes[i], list_size[i]).level;
-    deg_A[i] = induced_degree(lane, e, A);
+    deg_A[i] = cache_.induced_degree(lane, e, A);
   });
 
   std::vector<int> part_of(m, -1);
 
   // Enumerates the A-neighbors of e.  A holds only unfinalized edges, so the
-  // cached path walks the (shrinking) live list instead of the full
+  // cache may walk the (shrinking) live row instead of the full
   // neighborhood; e-owned compaction keeps it legal inside any pass over e.
   auto for_each_A_neighbor = [&](int lane, EdgeId e, auto&& fn) {
-    if (cache_ != nullptr) {
-      cache_->for_each_live_neighbor(lane, e, [&](EdgeId f) {
-        if (A.contains(f)) fn(f);
-      });
-    } else {
-      g_.for_each_edge_neighbor(e, [&](EdgeId f) {
-        if (A.contains(f)) fn(f);
-      });
-    }
+    cache_.for_each_live_neighbor(lane, e, [&](EdgeId f) {
+      if (A.contains(f)) fn(f);
+    });
   };
 
   // --- Levels <= 3: argmax intersection, one announcement round. ---
@@ -137,8 +131,7 @@ std::vector<int> SolverEngine::assign_subspaces(const EdgeSubset& A, Color lo, C
     // Candidate sets J_e.  part_of is frozen during this step (phase
     // assignments land only after the child solve), so the reads are safe.
     // The neighborhood scans ride the cache's live rows, so the pass counts
-    // toward the restrict timer the cache gate measures (scoped to exclude
-    // the child solve below).
+    // toward the restrict timer (scoped to exclude the child solve below).
     std::vector<ColorList> cand(e1.size());
     {
       const PassTimer cand_timer(stats_.restrict_ms, "restrict-cand");

@@ -1,109 +1,36 @@
 #include "src/dist/backend.hpp"
 
-#include <algorithm>
-
 #include "src/runtime/thread_pool.hpp"
 
 namespace qplec {
 
-void SerialBackend::for_members(const EdgeSubset& s,
-                                const std::function<void(int, EdgeId)>& fn) const {
-  s.for_each([&](EdgeId e) { fn(0, e); });
-}
-
-void SerialBackend::for_indices(int count, const std::function<void(int, int)>& fn) const {
-  for (int i = 0; i < count; ++i) fn(0, i);
-}
-
-void SerialBackend::for_nodes(const Graph& g,
-                              const std::function<void(int, NodeId)>& fn) const {
-  for (NodeId v = 0; v < g.num_nodes(); ++v) fn(0, v);
-}
-
-void SerialBackend::for_edge_ranges(
-    int universe, const std::function<void(int, EdgeId, EdgeId)>& fn) const {
-  QPLEC_REQUIRE(universe >= 0);
-  if (universe == 0) return;
-  fn(0, 0, static_cast<EdgeId>(universe));
-}
-
 const ExecBackend& serial_backend() {
-  static const SerialBackend backend;
+  static const ExecBackend backend;
   return backend;
 }
 
 // The node partition is capped at the edge-shard count so a for_nodes lane
 // index always fits accumulators sized by lanes() (on a tree the edge
 // universe clamps to n-1 shards while the node universe could take n).
-ShardedBackend::ShardedBackend(const Graph& g, int shards, ThreadPool& pool)
-    : g_(&g),
-      partition_(g, shards),
-      node_partition_(g, partition_.num_shards()),
-      pool_(&pool) {}
-
-void ShardedBackend::for_members(const EdgeSubset& s,
-                                 const std::function<void(int, EdgeId)>& fn) const {
-  QPLEC_REQUIRE_MSG(s.universe_size() == g_->num_edges(),
-                    "subset universe does not match the sharded graph");
-  pool_->run_indexed(partition_.num_shards(), [&](int, int shard) {
-    const EdgeShard& es = partition_.shard(shard);
-    for (EdgeId e = es.edge_begin; e < es.edge_end; ++e) {
-      if (s.contains(e)) fn(shard, e);
-    }
-  });
+ExecBackend::ExecBackend(const Graph& g, int shards, ThreadPool& pool) : g_(&g), pool_(&pool) {
+  const EdgePartition edges(g, shards);
+  const NodePartition nodes(g, edges.num_shards());
+  edge_bounds_.assign(1, 0);
+  for (int k = 0; k < edges.num_shards(); ++k) edge_bounds_.push_back(edges.shard(k).edge_end);
+  node_bounds_.assign(1, 0);
+  for (int k = 0; k < nodes.num_shards(); ++k) node_bounds_.push_back(nodes.shard(k).node_end);
 }
 
-void ShardedBackend::for_indices(int count, const std::function<void(int, int)>& fn) const {
-  QPLEC_REQUIRE(count >= 0);
-  if (count == 0) return;
-  if (count == g_->num_edges()) {
-    // An index space the size of the edge universe is (in every current
-    // caller, and harmlessly otherwise) edge-indexed: reuse the
-    // degree-balanced edge shards instead of an even count split, so hub
-    // edges don't pile into one lane.  Any contiguous ascending lane split
-    // is equivalent for determinism.
-    pool_->run_indexed(partition_.num_shards(), [&](int, int shard) {
-      const EdgeShard& es = partition_.shard(shard);
-      for (EdgeId e = es.edge_begin; e < es.edge_end; ++e) fn(shard, static_cast<int>(e));
-    });
-    return;
-  }
-  const int lanes = std::min(partition_.num_shards(), count);
-  pool_->run_indexed(lanes, [&](int, int lane) {
-    const int begin = static_cast<int>(static_cast<std::int64_t>(count) * lane / lanes);
-    const int end = static_cast<int>(static_cast<std::int64_t>(count) * (lane + 1) / lanes);
-    for (int i = begin; i < end; ++i) fn(lane, i);
-  });
+void ExecBackend::run_lanes(int n, const std::function<void(int)>& fn) const {
+  pool_->run_indexed(n, [&](int, int lane) { fn(lane); });
 }
 
-void ShardedBackend::for_edge_ranges(
-    int universe, const std::function<void(int, EdgeId, EdgeId)>& fn) const {
-  QPLEC_REQUIRE_MSG(universe == g_->num_edges(),
-                    "for_edge_ranges universe does not match the sharded graph");
-  if (universe == 0) return;
-  pool_->run_indexed(partition_.num_shards(), [&](int, int shard) {
-    const EdgeShard& es = partition_.shard(shard);
-    fn(shard, es.edge_begin, es.edge_end);
-  });
-}
-
-void ShardedBackend::for_nodes(const Graph& g,
-                               const std::function<void(int, NodeId)>& fn) const {
-  QPLEC_REQUIRE_MSG(&g == g_, "for_nodes graph does not match the sharded graph");
-  pool_->run_indexed(node_partition_.num_shards(), [&](int, int shard) {
-    const NodeShard& ns = node_partition_.shard(shard);
-    for (NodeId v = ns.node_begin; v < ns.node_end; ++v) fn(shard, v);
-  });
-}
-
-ShardedExecution::ShardedExecution(const Graph& g, const ExecConfig& config) {
-  ThreadPool* pool = config.shared_pool;
-  if (pool == nullptr) {
-    owned_pool_ = std::make_unique<ThreadPool>(config.pool_threads());
-    pool = owned_pool_.get();
-  }
-  backend_ = std::make_unique<ShardedBackend>(g, config.shards, *pool);
-}
+ShardedExecution::ShardedExecution(const Graph& g, const ExecConfig& config)
+    : owned_pool_(config.shared_pool == nullptr
+                      ? std::make_unique<ThreadPool>(config.pool_threads())
+                      : nullptr),
+      backend_(g, config.shards,
+               config.shared_pool != nullptr ? *config.shared_pool : *owned_pool_) {}
 
 ShardedExecution::~ShardedExecution() = default;
 

@@ -1,16 +1,21 @@
-// ExecBackend — pluggable execution strategy for edge-local rounds.
+// ExecBackend — the one execution strategy for edge-local rounds.
 //
 // The solver's rounds are all of one shape: "every edge of a subset updates
 // its own state from committed neighbor state".  That step is embarrassingly
 // parallel within the round, so the SolverEngine routes it through this
-// interface instead of iterating inline: SerialBackend runs the step on the
-// calling thread (the seed behavior, and the right choice for the small
-// instances the batch runtime sweeps), ShardedBackend fans the subset out
-// over contiguous degree-balanced edge shards on a ThreadPool and joins at
-// the round barrier.  The base-case primitives (Linial reduction, the
-// defective split, greedy class sweeps behind ConflictView) run their
-// per-node and per-item passes through the same interface, so a sharded
-// solve parallelizes all the way down, not just the outer recursion.
+// class instead of iterating inline.  A backend is a range dispatcher: a
+// lane -> edge-range table, a lane -> node-range table and an optional
+// ThreadPool.  The default-constructed (serial) backend has one lane and
+// runs every pass on the calling thread (the seed behavior, and the right
+// choice for the small instances the batch runtime sweeps); a sharded one
+// fans each pass out over contiguous degree-balanced edge shards on its pool
+// and joins at the round barrier.  The base-case primitives (Linial
+// reduction, the defective split, greedy class sweeps behind ConflictView)
+// run their per-node and per-item passes through the same class, so a
+// sharded solve parallelizes all the way down, not just the outer recursion.
+//
+// The pass methods are templates: the step function inlines into the lane
+// loop, and the only type-erased call is the one per lane into the pool.
 //
 // Contract for step functions fn(lane, e):
 //   * fn may mutate only state owned by edge e (its working list, its final
@@ -24,8 +29,11 @@
 // bit-identical to serial execution.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "src/common/exec_config.hpp"
 #include "src/dist/partition.hpp"
@@ -37,19 +45,65 @@ class ThreadPool;
 
 class ExecBackend {
  public:
-  virtual ~ExecBackend() = default;
+  /// The serial backend: one lane, every pass on the calling thread, any
+  /// graph.
+  ExecBackend() = default;
+
+  /// Shards g's edge-id universe over `pool`: one lane per degree-balanced
+  /// edge shard (EdgePartition), and for_nodes lanes over the node shards
+  /// of the same graph.  The pool must outlive the backend.
+  ExecBackend(const Graph& g, int shards, ThreadPool& pool);
 
   /// Number of reduction lanes step functions may index (1 for serial).
-  virtual int lanes() const = 0;
+  int lanes() const { return static_cast<int>(edge_bounds_.size()) - 1; }
 
   /// Runs fn(lane, e) for every member of s, each exactly once; blocks until
   /// all steps finished (the round barrier).  Exceptions from fn propagate.
-  virtual void for_members(const EdgeSubset& s,
-                           const std::function<void(int, EdgeId)>& fn) const = 0;
+  template <typename Fn>
+  void for_members(const EdgeSubset& s, Fn&& fn) const {
+    if (pool_ == nullptr) {
+      s.for_each([&](EdgeId e) { fn(0, e); });
+      return;
+    }
+    QPLEC_REQUIRE_MSG(s.universe_size() == g_->num_edges(),
+                      "subset universe does not match the sharded graph");
+    run_lanes(lanes(), [&](int lane) {
+      for (EdgeId e = edge_bounds_[lane]; e < edge_bounds_[lane + 1]; ++e) {
+        if (s.contains(e)) fn(lane, e);
+      }
+    });
+  }
 
   /// Runs fn(lane, i) for every i in [0, count); lanes cover contiguous
   /// ascending index blocks.
-  virtual void for_indices(int count, const std::function<void(int, int)>& fn) const = 0;
+  template <typename Fn>
+  void for_indices(int count, Fn&& fn) const {
+    QPLEC_REQUIRE(count >= 0);
+    if (pool_ == nullptr) {
+      for (int i = 0; i < count; ++i) fn(0, i);
+      return;
+    }
+    if (count == 0) return;
+    if (count == g_->num_edges()) {
+      // An index space the size of the edge universe is (in every current
+      // caller, and harmlessly otherwise) edge-indexed: reuse the
+      // degree-balanced edge shards instead of an even count split, so hub
+      // edges don't pile into one lane.  Any contiguous ascending lane split
+      // is equivalent for determinism.
+      run_lanes(lanes(), [&](int lane) {
+        for (EdgeId e = edge_bounds_[lane]; e < edge_bounds_[lane + 1]; ++e) {
+          fn(lane, static_cast<int>(e));
+        }
+      });
+      return;
+    }
+    const int n = std::min(lanes(), count);
+    run_lanes(n, [&](int lane) {
+      const int begin = static_cast<int>(static_cast<std::int64_t>(count) * lane / n);
+      const int end = static_cast<int>(static_cast<std::int64_t>(count) * (lane + 1) / n);
+      for (int i = begin; i < end; ++i) fn(lane, i);
+    });
+  }
 
   /// Runs fn(lane, v) for every node v of g; lanes cover contiguous
   /// ascending node ranges (degree-balanced on the sharded path).  The
@@ -57,8 +111,17 @@ class ExecBackend {
   /// same-group conflict detection) run through this: a node may mutate only
   /// state owned by its own incident (node, port) slots plus lane-indexed
   /// accumulators.  On a sharded backend g must be the sharded graph.
-  virtual void for_nodes(const Graph& g,
-                         const std::function<void(int, NodeId)>& fn) const = 0;
+  template <typename Fn>
+  void for_nodes(const Graph& g, Fn&& fn) const {
+    if (pool_ == nullptr) {
+      for (NodeId v = 0; v < g.num_nodes(); ++v) fn(0, v);
+      return;
+    }
+    QPLEC_REQUIRE_MSG(&g == g_, "for_nodes graph does not match the sharded graph");
+    run_lanes(static_cast<int>(node_bounds_.size()) - 1, [&](int lane) {
+      for (NodeId v = node_bounds_[lane]; v < node_bounds_[lane + 1]; ++v) fn(lane, v);
+    });
+  }
 
   /// Runs fn(lane, begin, end) once per lane with that lane's owned
   /// contiguous edge-id range; the ranges are disjoint, ascending in lane
@@ -66,11 +129,32 @@ class ExecBackend {
   /// primitive: within its call, a lane may write per-edge state of ANY
   /// edge id inside its own range (not just state of edges a step function
   /// was handed) — the NeighborColorCache fills its per-edge live rows
-  /// through this, and any future owner-partitioned table exchange slots in
-  /// the same way.  On a sharded backend `universe` must equal the sharded
+  /// through this.  On a sharded backend `universe` must equal the sharded
   /// graph's edge count (the ranges are the degree-balanced edge shards).
-  virtual void for_edge_ranges(int universe,
-                               const std::function<void(int, EdgeId, EdgeId)>& fn) const = 0;
+  template <typename Fn>
+  void for_edge_ranges(int universe, Fn&& fn) const {
+    QPLEC_REQUIRE(universe >= 0);
+    if (universe == 0) return;
+    if (pool_ == nullptr) {
+      fn(0, EdgeId{0}, static_cast<EdgeId>(universe));
+      return;
+    }
+    QPLEC_REQUIRE_MSG(universe == g_->num_edges(),
+                      "for_edge_ranges universe does not match the sharded graph");
+    run_lanes(lanes(), [&](int lane) { fn(lane, edge_bounds_[lane], edge_bounds_[lane + 1]); });
+  }
+
+ private:
+  /// Runs fn(lane) for every lane in [0, n) on the pool and joins.
+  void run_lanes(int n, const std::function<void(int)>& fn) const;
+
+  // Serial when pool_ is null (g_ is then unused).  Lane l owns edge ids
+  // [edge_bounds_[l], edge_bounds_[l+1]) and nodes [node_bounds_[l],
+  // node_bounds_[l+1]); serial has the one edge lane {0, 0}.
+  const Graph* g_ = nullptr;
+  ThreadPool* pool_ = nullptr;
+  std::vector<EdgeId> edge_bounds_{0, 0};
+  std::vector<NodeId> node_bounds_{0, 0};
 };
 
 /// Per-lane scratch slots for the reusable working sets of a parallel pass
@@ -106,48 +190,9 @@ class LaneScratch {
   std::vector<Slot> slots_;
 };
 
-/// The seed execution strategy: one lane, steps on the calling thread.
-class SerialBackend final : public ExecBackend {
- public:
-  int lanes() const override { return 1; }
-  void for_members(const EdgeSubset& s,
-                   const std::function<void(int, EdgeId)>& fn) const override;
-  void for_indices(int count, const std::function<void(int, int)>& fn) const override;
-  void for_nodes(const Graph& g,
-                 const std::function<void(int, NodeId)>& fn) const override;
-  void for_edge_ranges(int universe,
-                       const std::function<void(int, EdgeId, EdgeId)>& fn) const override;
-};
-
 /// The process-wide serial backend (stateless, shared by every engine that
 /// was not handed a sharded one).
 const ExecBackend& serial_backend();
-
-/// Shards the edge-id universe of one graph over a thread pool.  One lane
-/// per edge shard; for_members iterates each shard's id range on its own
-/// worker; for_nodes iterates the degree-balanced node shards of the same
-/// graph.  The pool must outlive the backend.
-class ShardedBackend final : public ExecBackend {
- public:
-  ShardedBackend(const Graph& g, int shards, ThreadPool& pool);
-
-  int lanes() const override { return partition_.num_shards(); }
-  const EdgePartition& partition() const { return partition_; }
-
-  void for_members(const EdgeSubset& s,
-                   const std::function<void(int, EdgeId)>& fn) const override;
-  void for_indices(int count, const std::function<void(int, int)>& fn) const override;
-  void for_nodes(const Graph& g,
-                 const std::function<void(int, NodeId)>& fn) const override;
-  void for_edge_ranges(int universe,
-                       const std::function<void(int, EdgeId, EdgeId)>& fn) const override;
-
- private:
-  const Graph* g_;
-  EdgePartition partition_;
-  NodePartition node_partition_;
-  ThreadPool* pool_;
-};
 
 /// Bundles the pool + backend lifetime for one sharded solve: the Solver
 /// materializes one of these per instance it decides to shard.  With
@@ -159,11 +204,11 @@ class ShardedExecution {
   ShardedExecution(const Graph& g, const ExecConfig& config);
   ~ShardedExecution();
 
-  const ExecBackend& backend() const { return *backend_; }
+  const ExecBackend& backend() const { return backend_; }
 
  private:
   std::unique_ptr<ThreadPool> owned_pool_;  ///< null when running on a lease
-  std::unique_ptr<ShardedBackend> backend_;
+  ExecBackend backend_;
 };
 
 }  // namespace qplec

@@ -1,37 +1,42 @@
 #include "src/dist/neighbor_cache.hpp"
 
+#include "src/obs/metrics.hpp"
+
 namespace qplec {
 
 NeighborColorCache::NeighborColorCache(const Graph& g, const EdgeColoring& final,
-                                       const ExecBackend& exec, const EdgeSubset* rows)
+                                       const ExecBackend& exec)
     : g_(&g),
       final_(&final),
-      exec_(&exec),
       num_edges_(g.num_edges()),
+      rescan_(!fits(g)),
       queues_(exec.lanes()),
       drops_(exec.lanes()) {
   QPLEC_REQUIRE(final.size() == static_cast<std::size_t>(num_edges_));
-  QPLEC_REQUIRE(rows == nullptr || rows->universe_size() == num_edges_);
+  // Process-wide mode counters: "hit" built the rows, "budget_reject" runs
+  // in rescan mode because the rows would dwarf the graph.
+  if (num_edges_ > 0) {
+    auto& reg = obs::MetricsRegistry::global();
+    static obs::Counter& hit = reg.counter("qplec_cache_engines_total{mode=\"hit\"}");
+    static obs::Counter& budget_reject =
+        reg.counter("qplec_cache_engines_total{mode=\"budget_reject\"}");
+    (rescan_ ? budget_reject : hit).inc();
+  }
+  if (rescan_) return;
   const std::size_t m = static_cast<std::size_t>(num_edges_);
   pending_.resize(m);
   offsets_.resize(m + 1, 0);
   live_count_.resize(m, 0);
   row_epoch_.resize(m, 0);
-  // Churn-delta build: a restricted `rows` subset gets zero-width rows for
-  // every non-member, so the payload scales with the repair region, not the
-  // graph.
   for (std::size_t e = 0; e < m; ++e) {
-    const bool materialize = rows == nullptr || rows->contains(static_cast<EdgeId>(e));
     offsets_[e + 1] =
-        offsets_[e] +
-        (materialize ? static_cast<std::size_t>(g.edge_degree(static_cast<EdgeId>(e))) : 0);
+        offsets_[e] + static_cast<std::size_t>(g.edge_degree(static_cast<EdgeId>(e)));
   }
   nbrs_.resize(offsets_[m]);
   // Row fill runs over the backend's unique-writer edge ranges: each lane
   // fills exactly the CSR rows of the edges it owns.
-  exec_->for_edge_ranges(num_edges_, [&](int, EdgeId begin, EdgeId end) {
+  exec.for_edge_ranges(num_edges_, [&](int, EdgeId begin, EdgeId end) {
     for (EdgeId e = begin; e < end; ++e) {
-      if (rows != nullptr && !rows->contains(e)) continue;
       std::size_t w = offsets_[static_cast<std::size_t>(e)];
       g_->for_each_edge_neighbor(e, [&](EdgeId f) { nbrs_[w++] = f; });
       live_count_[static_cast<std::size_t>(e)] =

@@ -2,12 +2,12 @@
 //
 // The recursion of Section 4 repeatedly restricts an edge's working list to
 // L_e \ {colors of finalized neighbors} (refresh-lists, the mark-active
-// pruning of Lemma 4.2, the Equation (2) restriction of Lemma 4.3).  The
-// uncached implementation re-walks every edge's full line-graph neighborhood
-// against the global final-color array every round; but between two rounds
-// only the NEWLY finalized neighbors matter — the observation the round
-// complexity of the GKMU / BBKO edge-coloring algorithms is built on.  The
-// cache makes the passes incremental with edge-owned state:
+// pruning of Lemma 4.2, the Equation (2) restriction of Lemma 4.3).  A full
+// rescan re-walks every edge's line-graph neighborhood against the global
+// final-color array every round; but between two rounds only the NEWLY
+// finalized neighbors matter — the observation the round complexity of the
+// GKMU / BBKO edge-coloring algorithms is built on.  The cache makes the
+// passes incremental with edge-owned state:
 //
 //   * a flat-CSR LIVE ROW per edge — the neighbors not yet finalized.  A
 //     consuming pass sweeps only the row, removing the colors of the
@@ -21,14 +21,21 @@
 //     iterate live neighbors without consuming (the Lemma 4.3 candidate /
 //     restriction passes, induced-degree scans) defer the colors they
 //     compact out into the owner's pending slot, and the next consume
-//     drains them — removal is idempotent and commutative, so cached and
-//     uncached solves are bit-identical;
+//     drains them — removal is idempotent and commutative, so the lists
+//     end up exactly as a full rescan would leave them;
 //   * a per-lane DELTA QUEUE of newly finalized edge ids (lane queues
 //     concatenate in lane order, i.e. ascending id order for any shard
 //     count).  flush() drains it once per refresh round as the round's
 //     finalize log: every drained id is consistency-checked against the
 //     final array, the wave advances the row epoch, and the drain feeds the
-//     telemetry the differential tests and BENCH_cache.json pin.
+//     telemetry the differential tests pin.
+//
+// RESCAN MODE: when the rows would not fit the materialization budget
+// (fits() false — hub-heavy graphs), the cache builds no rows at all.
+// consume() then walks the full neighborhood against the final array, and
+// for_each_live_neighbor / induced_degree walk the full neighborhood too.
+// The resulting lists and degrees are the same as in row mode; only the
+// cost per sweep differs.  The delta queues and flush() run in both modes.
 //
 // Cross-shard note: all row/pending maintenance is edge-owned, so no lock or
 // message is needed at shard boundaries — boundary information travels
@@ -54,15 +61,15 @@ class NeighborColorCache {
  public:
   /// Materialization budget: the live rows store the full line-graph
   /// adjacency (sum over edges of edge_degree — Theta(sum of deg^2) on
-  /// hub-heavy graphs, vs the O(m) on-the-fly walks of the uncached path),
-  /// so a cache is only built when the payload stays within an absolute cap
-  /// OR within a modest factor of the edge count.  A star K_{1,100000}
-  /// would otherwise allocate ~10^10 row entries in the engine constructor.
+  /// hub-heavy graphs, vs the O(m) on-the-fly walks of rescan mode), so
+  /// rows are only built when the payload stays within an absolute cap OR
+  /// within a modest factor of the edge count.  A star K_{1,100000} would
+  /// otherwise allocate ~10^10 row entries in the engine constructor.
   static constexpr std::int64_t kMaxPayloadEntries = std::int64_t{1} << 26;  // 256 MiB
   static constexpr std::int64_t kMaxAvgEdgeDegree = 64;
 
-  /// Whether the live rows of g fit the budget above.  Engines skip the
-  /// cache (and run the bit-identical full-rescan path) when this is false.
+  /// Whether the live rows of g fit the budget above.  When false the cache
+  /// runs in rescan mode (no rows; see the file comment).
   static bool fits(const Graph& g) {
     std::int64_t payload = 0;
     for (EdgeId e = 0; e < g.num_edges(); ++e) payload += g.edge_degree(e);
@@ -74,17 +81,17 @@ class NeighborColorCache {
   /// kUncolored until finalized); both g and final must outlive the cache.
   /// `exec` supplies the lanes the delta queues and drop counters are
   /// indexed by; the row fill runs over its unique-writer edge ranges.
-  ///
-  /// `rows` (optional) restricts which edges get a materialized live row —
-  /// the churn-delta build: an incremental recolor (src/core/recolor) only
-  /// ever sweeps the repair region, so it materializes rows for those edges
-  /// alone instead of paying the full Theta(sum of deg^2) rebuild.  Edges
-  /// outside `rows` get an empty row (their consume/iterate calls are
-  /// no-ops); nullptr keeps the full build for every edge.
-  explicit NeighborColorCache(const Graph& g, const EdgeColoring& final, const ExecBackend& exec,
-                              const EdgeSubset* rows = nullptr);
+  /// Rows are built when fits(g), otherwise the cache runs in rescan mode.
+  NeighborColorCache(const Graph& g, const EdgeColoring& final, const ExecBackend& exec);
+
+  NeighborColorCache(const NeighborColorCache&) = delete;
+  NeighborColorCache& operator=(const NeighborColorCache&) = delete;
 
   int num_lanes() const { return queues_.num_lanes(); }
+
+  /// True when g failed fits(): no rows, every sweep walks the full
+  /// neighborhood.
+  bool rescan() const { return rescan_; }
 
   /// Records edge e as newly finalized, from inside a backend pass running
   /// on `lane`.  final[e] must already hold its color by the next flush().
@@ -103,10 +110,18 @@ class NeighborColorCache {
   /// row, removing the final color of every newly finalized entry from
   /// `list` and compacting the entry out.  Together with the pending drain
   /// this removes exactly the colors of the neighbors finalized since e's
-  /// previous consume — the colors the uncached full rescan would remove.
+  /// previous consume — the colors a full rescan would remove.
   /// Epoch-gated: if no finalize wave was flushed since e's last sweep, the
-  /// row provably holds no finalized entries and the walk is skipped.
+  /// row provably holds no finalized entries and the walk is skipped.  In
+  /// rescan mode: removes the color of every finalized neighbor of e.
   void consume(int lane, EdgeId e, ColorList& list) {
+    if (rescan_) {
+      g_->for_each_edge_neighbor(e, [&](EdgeId f) {
+        const Color cf = (*final_)[static_cast<std::size_t>(f)];
+        if (cf != kUncolored) list.remove(cf);
+      });
+      return;
+    }
     auto& pending = pending_[static_cast<std::size_t>(e)];
     if (!pending.empty()) {
       for (const Color c : pending) list.remove(c);
@@ -145,9 +160,14 @@ class NeighborColorCache {
   /// stale, so a row may briefly be iterated with finalized entries still
   /// in it.  Every caller filters by membership in an unfinalized-only
   /// subset, so those entries are transparent — the check here exists for
-  /// compaction, never for correctness of the enumeration.
+  /// compaction, never for correctness of the enumeration.  Rescan mode
+  /// relies on the same filter: it enumerates the full neighborhood.
   template <typename Fn>
   void for_each_live_neighbor(int lane, EdgeId e, Fn&& fn) {
+    if (rescan_) {
+      g_->for_each_edge_neighbor(e, fn);
+      return;
+    }
     const std::size_t begin = offsets_[static_cast<std::size_t>(e)];
     const std::size_t end =
         begin + static_cast<std::size_t>(live_count_[static_cast<std::size_t>(e)]);
@@ -183,14 +203,17 @@ class NeighborColorCache {
   }
 
   /// Number of neighbors of e still unfinalized as of the last sweep (an
-  /// upper bound between sweeps).
+  /// upper bound between sweeps; the full edge degree in rescan mode).
   int live_degree_bound(EdgeId e) const {
+    if (rescan_) return g_->edge_degree(e);
     return static_cast<int>(live_count_[static_cast<std::size_t>(e)]);
   }
 
   /// Colors deferred for e by non-consuming sweeps, not yet drained (test
-  /// hook).
+  /// hook; always empty in rescan mode, which defers nothing).
   const std::vector<Color>& pending(EdgeId e) const {
+    static const std::vector<Color> kNone;
+    if (rescan_) return kNone;
     return pending_[static_cast<std::size_t>(e)];
   }
 
@@ -212,7 +235,8 @@ class NeighborColorCache {
 
   /// Total (edge, finalized neighbor) pairs handled incrementally: each
   /// pair is dropped from a live row exactly once — either removed directly
-  /// by a consume or deferred through pending.  Coordinating thread only.
+  /// by a consume or deferred through pending.  0 in rescan mode (there
+  /// are no rows to drop from).  Coordinating thread only.
   std::int64_t colors_removed() const {
     std::int64_t total = 0;
     for (int lane = 0; lane < drops_.num_lanes(); ++lane) total += drops_.lane(lane);
@@ -222,15 +246,15 @@ class NeighborColorCache {
  private:
   const Graph* g_;
   const EdgeColoring* final_;
-  const ExecBackend* exec_;
   int num_edges_;
+  bool rescan_;
 
   LaneScratch<std::vector<EdgeId>> queues_;
   std::vector<EdgeId> delta_buf_;  ///< drained batch, reused across flushes
 
   std::vector<std::vector<Color>> pending_;  ///< deferred, undrained colors
 
-  // Flat-CSR live rows: edge e's live neighbors are
+  // Flat-CSR live rows (empty in rescan mode): edge e's live neighbors are
   // nbrs_[offsets_[e] .. offsets_[e] + live_count_[e]).
   std::vector<std::size_t> offsets_;
   std::vector<EdgeId> nbrs_;

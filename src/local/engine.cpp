@@ -4,9 +4,6 @@
 
 namespace qplec {
 
-Engine::Engine(const Graph& g, bool fuse_supersteps)
-    : g_(g), fuse_supersteps_(fuse_supersteps) {}
-
 NodeId Engine::port_neighbor(NodeId v, int port) const {
   const auto inc = g_.incident(v);
   QPLEC_REQUIRE(port >= 0 && static_cast<std::size_t>(port) < inc.size());
@@ -73,18 +70,10 @@ EngineStats Engine::run(const ProgramFactory& factory, std::int64_t max_rounds) 
                      "engine exceeded " << max_rounds << " rounds — non-terminating program");
     ++stats.rounds;
 
-    // Reference clear sweep.  Redundant under fusion: delivery stamps every
-    // slot it fills with the current round and received() ignores any slot
-    // whose stamp is stale, so physically blanking old messages changes
-    // nothing a program can observe.
-    if (!fuse_supersteps_) {
-      for (NodeId v = 0; v < n; ++v) {
-        auto& c = ctx[static_cast<std::size_t>(v)];
-        c.inbox_.assign(c.inbox_.size(), std::nullopt);
-      }
-    }
-
     // Deliver: move outboxes into the peers' inboxes (synchronous barrier).
+    // Delivery stamps every slot it fills with the current round, and
+    // received() ignores any slot whose stamp is stale, so old messages are
+    // never cleared.
     for (NodeId v = 0; v < n; ++v) {
       auto& c = ctx[static_cast<std::size_t>(v)];
       for (std::size_t p = 0; p < c.outbox_.size(); ++p) {

@@ -46,9 +46,7 @@ class NodeContext {
   /// Message received on `port` this round, or nullptr.  A slot counts as
   /// received only when its round stamp matches the current round: delivery
   /// stamps the slot, so a stale message from an earlier round is invisible
-  /// whether or not the engine physically cleared it.  This is what lets the
-  /// fused engines skip the clear sweep (one fewer barrier per round) with
-  /// bit-identical observable behavior.
+  /// without the engine ever clearing the inbox between rounds.
   const Message* received(int port) const {
     QPLEC_REQUIRE(port >= 0 && port < degree());
     const auto& slot = inbox_[static_cast<std::size_t>(port)];
@@ -109,11 +107,7 @@ struct EngineStats {
 /// node index (engine-side bookkeeping only; the program never sees it).
 class Engine {
  public:
-  /// `fuse_supersteps` merges the inbox-clear sweep into delivery (round
-  /// stamps make stale slots invisible, see NodeContext::received); false
-  /// keeps the explicit reference clear pass.  Results are bit-identical
-  /// either way — the flag exists so tests can pin that equality.
-  explicit Engine(const Graph& g, bool fuse_supersteps = true);
+  explicit Engine(const Graph& g) : g_(g) {}
 
   using ProgramFactory = std::function<std::unique_ptr<NodeProgram>(NodeId)>;
 
@@ -130,7 +124,6 @@ class Engine {
 
  private:
   const Graph& g_;
-  bool fuse_supersteps_;
 };
 
 }  // namespace qplec

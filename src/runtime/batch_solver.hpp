@@ -65,8 +65,8 @@ class BatchSolver {
  public:
   /// `config` is the one unified execution configuration
   /// (src/common/exec_config.hpp): `workers` sizes the scenario-level
-  /// fan-out, the intra-instance knobs (shards, fusion, validation tier,
-  /// cache) pass through to every solve.  `keep_colors` retains the full
+  /// fan-out, the intra-instance knobs (shards, validation tier, greedy
+  /// quantum) pass through to every solve.  `keep_colors` retains the full
   /// colorings in the results (hash and validity are always computed).
   explicit BatchSolver(ExecConfig config = {}, bool keep_colors = false);
 

@@ -70,14 +70,12 @@ std::string solver_stats_json(const SolverStats& stats, int indent) {
   ms("restrict_ms", stats.restrict_ms, in1);
   out += in1 + "\"profile\": {\n";
   count("supersteps", stats.profile.supersteps, in2);
-  count("fused_sweeps_saved", stats.profile.fused_sweeps_saved, in2);
   count("validation_walks_run", stats.profile.validation_walks_run, in2);
   count("validation_walks_skipped", stats.profile.validation_walks_skipped, in2);
   count("checkpoints", stats.profile.checkpoints, in2);
   ms("pass_ms", stats.profile.pass_ms, in2);
   ms("validate_ms", stats.profile.validate_ms, in2);
-  ms("ledger_ms", stats.profile.ledger_ms, in2);
-  ms("barrier_ms", stats.profile.barrier_ms, in2, /*last=*/true);
+  ms("ledger_ms", stats.profile.ledger_ms, in2, /*last=*/true);
   out += in1 + "}\n";
   out += pad + "}";
   return out;

@@ -110,8 +110,6 @@ std::uint64_t fingerprint_exec_knobs(const ExecConfig& config) {
   f.mix(static_cast<int>(config.backend));
   f.mix(config.shards);
   f.mix(config.min_sharded_edges);
-  f.mix(config.use_neighbor_cache);
-  f.mix(config.fuse_supersteps);
   f.mix(static_cast<int>(config.validation_tier));
   f.mix(config.validation_sample_period);
   // The repair/fallback decision changes an update's rounds/ledger surface,

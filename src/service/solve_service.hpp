@@ -51,7 +51,7 @@ class ThreadPool;
 // The service consumes the one unified qplec::ExecConfig
 // (src/common/exec_config.hpp) directly — the same struct every layer from
 // SolverEngine up takes.  The service reads `workers` for its queue-draining
-// solve workers and hands the rest (shards, fusion, validation tier, cache)
+// solve workers and hands the rest (shards, validation tier, greedy quantum)
 // to each Solver it constructs, with `shared_pool` rewritten to the
 // service-wide shard-worker lease.
 

@@ -5,7 +5,7 @@
 //   1. Differential: a repaired coloring is a proper list coloring of the
 //      mutated instance, every survivor keeps its pre-churn color verbatim
 //      (the bounded-drift invariant), and the repair is bit-identical across
-//      shards {1,2,7} x neighbor-cache on/off x superstep fusion on/off.
+//      shards {1,2,7}.
 //   2. The budget fallback is bit-identical to a from-scratch solve of the
 //      mutated instance; pure-removal batches never fall back at all.
 //   3. update() never throws: missing/evicted/invalidated snapshots, bases
@@ -149,25 +149,15 @@ TEST(Recolor, RepairBitIdenticalAcrossShardsCacheAndFusion) {
   expect_no_drift(plan, reference.result.colors, "reference");
 
   for (const int shards : {1, 2, 7}) {
-    for (const bool cache : {true, false}) {
-      for (const bool fuse : {true, false}) {
-        ExecConfig config;
-        config.shards = shards;
-        if (shards > 1) config.min_sharded_edges = 0;
-        config.use_neighbor_cache = cache;
-        config.fuse_supersteps = fuse;
-        const RecolorOutcome rec = repair_recolor(plan, Policy::practical(), config);
-        const std::string tag = "shards=" + std::to_string(shards) +
-                                (cache ? " cached" : " uncached") +
-                                (fuse ? " fused" : " split");
-        EXPECT_FALSE(rec.fallback) << tag;
-        EXPECT_EQ(rec.result.colors, reference.result.colors) << tag;
-        EXPECT_EQ(rec.result.rounds, reference.result.rounds) << tag;
-        EXPECT_EQ(hash_coloring(rec.result.colors),
-                  hash_coloring(reference.result.colors))
-            << tag;
-      }
-    }
+    ExecConfig config;
+    config.shards = shards;
+    if (shards > 1) config.min_sharded_edges = 0;
+    const RecolorOutcome rec = repair_recolor(plan, Policy::practical(), config);
+    const std::string tag = "shards=" + std::to_string(shards);
+    EXPECT_FALSE(rec.fallback) << tag;
+    EXPECT_EQ(rec.result.colors, reference.result.colors) << tag;
+    EXPECT_EQ(rec.result.rounds, reference.result.rounds) << tag;
+    EXPECT_EQ(hash_coloring(rec.result.colors), hash_coloring(reference.result.colors)) << tag;
   }
 }
 

@@ -36,7 +36,7 @@ TEST(ExecBackend, ForNodesVisitsEveryNodeOnceInAscendingLaneOrder) {
   const Graph g = make_power_law(60, 2.5, 12.0, 7);
   ThreadPool pool(4);
   for (const int shards : kShardCounts) {
-    const ShardedBackend backend(g, shards, pool);
+    const ExecBackend backend(g, shards, pool);
     std::vector<int> visits(static_cast<std::size_t>(g.num_nodes()), 0);
     std::vector<int> lane_of(static_cast<std::size_t>(g.num_nodes()), -1);
     backend.for_nodes(g, [&](int lane, NodeId v) {
@@ -56,7 +56,7 @@ TEST(ExecBackend, ForNodesVisitsEveryNodeOnceInAscendingLaneOrder) {
   }
 }
 
-TEST(ExecBackend, SerialBackendForNodesCoversAllNodes) {
+TEST(ExecBackend, SerialForNodesCoversAllNodes) {
   const Graph g = make_cycle(9);
   int count = 0;
   serial_backend().for_nodes(g, [&](int lane, NodeId) {
@@ -84,7 +84,7 @@ TEST(ExecBackend, MaxConflictDegreeMatchesSerialScan) {
     const int expected = view.max_degree();
     ThreadPool pool(3);
     for (const int shards : kShardCounts) {
-      const ShardedBackend backend(g, shards, pool);
+      const ExecBackend backend(g, shards, pool);
       EXPECT_EQ(max_conflict_degree(view, &backend), expected)
           << scenario.name() << " shards=" << shards;
     }
@@ -109,7 +109,7 @@ TEST(ExecBackend, LinialReduceMatchesSerialAcrossShardCounts) {
 
     ThreadPool pool(3);
     for (const int shards : kShardCounts) {
-      const ShardedBackend backend(g, shards, pool);
+      const ExecBackend backend(g, shards, pool);
       RoundLedger ledger;
       const LinialResult res = linial_reduce(view, init.colors, init.palette,
                                              g.max_edge_degree(), ledger, &backend);
@@ -139,7 +139,7 @@ TEST(ExecBackend, DefectiveColoringMatchesSerialAcrossShardCounts) {
 
     ThreadPool pool(3);
     for (const int shards : kShardCounts) {
-      const ShardedBackend backend(g, shards, pool);
+      const ExecBackend backend(g, shards, pool);
       RoundLedger ledger;
       const DefectiveColoring res = defective_edge_coloring(
           g, all, beta, init.colors, init.palette, ledger, &backend);
@@ -171,7 +171,7 @@ TEST(ExecBackend, ConflictSolveMatchesSerialAcrossShardCounts) {
 
     ThreadPool pool(3);
     for (const int shards : kShardCounts) {
-      const ShardedBackend backend(g, shards, pool);
+      const ExecBackend backend(g, shards, pool);
       std::vector<Color> out(static_cast<std::size_t>(g.num_edges()), kUncolored);
       RoundLedger ledger;
       const ConflictSolveResult res =
@@ -282,11 +282,11 @@ TEST(SharedPool, BatchSolverLeaseBitIdenticalToSerialBatch) {
   }
 }
 
-TEST(ShardedBackend, VisitsEveryMemberExactlyOnce) {
+TEST(ExecBackend, ShardedVisitsEveryMemberExactlyOnce) {
   const Graph g = make_random_regular(50, 6, 9);
   ThreadPool pool(4);
   for (const int shards : {1, 2, 7}) {
-    const ShardedBackend backend(g, shards, pool);
+    const ExecBackend backend(g, shards, pool);
     EdgeSubset odd(g.num_edges());
     for (EdgeId e = 1; e < g.num_edges(); e += 2) odd.insert(e);
     std::vector<int> visits(static_cast<std::size_t>(g.num_edges()), 0);

@@ -268,9 +268,9 @@ std::vector<LinialParams> schedule(std::uint64_t palette, int degree_bound) {
 /// backend and the sharded one at 1, 2 and 7 shards, against the reference.
 void expect_matches_reference(const DiffCase& c) {
   ThreadPool pool(3);
-  std::vector<std::unique_ptr<ShardedBackend>> sharded;
+  std::vector<std::unique_ptr<ExecBackend>> sharded;
   for (const int shards : {1, 2, 7}) {
-    sharded.push_back(std::make_unique<ShardedBackend>(*c.graph, shards, pool));
+    sharded.push_back(std::make_unique<ExecBackend>(*c.graph, shards, pool));
   }
   std::vector<const ExecBackend*> backends{nullptr};
   for (const auto& b : sharded) backends.push_back(b.get());

@@ -3,15 +3,17 @@
 // whole-pipeline invariants swept across many seeds.
 //
 // The PropertyFuzz suite is the property/fuzz tier (ctest label `property`):
-// seeded random-graph sweeps asserting that the NeighborColorCache path and
-// the full-rescan path solve bit-identically and properly on every instance,
-// and that the batched incremental greedy sweep matches a straightforward
+// seeded random-graph sweeps asserting that the NeighborColorCache removes
+// exactly the colors a full rescan would, that every validation tier and
+// shard count solves bit-identically and properly on every instance, and
+// that the batched incremental greedy sweep matches a straightforward
 // per-class reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 
 #include "src/coloring/conflict.hpp"
 #include "src/coloring/greedy.hpp"
@@ -21,12 +23,15 @@
 #include "src/common/rng.hpp"
 #include "src/core/recolor.hpp"
 #include "src/core/solver.hpp"
+#include "src/dist/neighbor_cache.hpp"
 #include "src/graph/builder.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/subset.hpp"
 #include "src/runtime/batch_solver.hpp"
 #include "src/runtime/scenarios.hpp"
+#include "src/runtime/thread_pool.hpp"
 #include "src/service/solve_service.hpp"
+#include "tests/support/cache_oracle.hpp"
 
 namespace qplec {
 namespace {
@@ -187,12 +192,13 @@ TEST(Properties, ScrambledIdsPreserveStructureOnlyRelabelled) {
 }
 
 // ---------------------------------------------------------------------------
-// PropertyFuzz: the seeded random-graph sweep of the cache differential.
+// PropertyFuzz: the seeded random-graph sweep of the neighbor cache and the
+// round-loop schedule.
 // ---------------------------------------------------------------------------
 
-// family x size x seed sweep: every instance solves bit-identically with the
-// neighbor cache on and off, and both outputs are proper list colorings.
-TEST(PropertyFuzz, CacheOnOffBitIdenticalAcrossRandomGraphSweep) {
+/// family x size x seed sweep shared by the fuzz tests below; the power-law
+/// family puts hub-heavy graphs in the sweep.
+std::vector<Scenario> random_graph_sweep() {
   struct Case {
     GraphFamily family;
     int size;
@@ -205,91 +211,78 @@ TEST(PropertyFuzz, CacheOnOffBitIdenticalAcrossRandomGraphSweep) {
       {GraphFamily::kTorus, 5, 0},
   };
   const ListFlavor flavors[] = {ListFlavor::kTwoDelta, ListFlavor::kRandomDegPlusOne};
-  int swept = 0;
+  std::vector<Scenario> out;
   for (const Case& c : cases) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      const Scenario scenario{c.family, c.size, flavors[seed % 2],
-                              PolicyKind::kPractical, seed, c.aux};
-      const ListEdgeColoringInstance instance = build_instance(scenario);
-      if (instance.graph.num_edges() == 0) continue;
-      ++swept;
-
-      ExecConfig cached;  // default: cache on
-      ExecConfig uncached;
-      uncached.use_neighbor_cache = false;
-      const SolveResult with_cache =
-          Solver(Policy::practical(), cached).solve(instance);
-      const SolveResult without_cache =
-          Solver(Policy::practical(), uncached).solve(instance);
-
-      EXPECT_EQ(hash_coloring(with_cache.colors), hash_coloring(without_cache.colors))
-          << scenario.name();
-      EXPECT_EQ(with_cache.colors, without_cache.colors) << scenario.name();
-      EXPECT_EQ(with_cache.rounds, without_cache.rounds) << scenario.name();
-      EXPECT_EQ(with_cache.raw_rounds, without_cache.raw_rounds) << scenario.name();
-      EXPECT_TRUE(is_proper_edge_coloring(instance.graph, with_cache.colors))
-          << scenario.name();
-      EXPECT_TRUE(is_valid_list_coloring(instance, with_cache.colors)) << scenario.name();
-      EXPECT_TRUE(is_valid_list_coloring(instance, without_cache.colors))
-          << scenario.name();
+      out.push_back(Scenario{c.family, c.size, flavors[seed % 2], PolicyKind::kPractical, seed,
+                             c.aux});
     }
+  }
+  return out;
+}
+
+// Every instance of the sweep solves to a proper list coloring, and the
+// neighbor cache the solve runs on removes exactly the colors the full
+// rescan it replaces would: finalizing the solved colors in waves, every
+// consume / live-neighbor / induced-degree answer of the cache is
+// bit-identical to the brute-force rescan, starting from the instance lists.
+TEST(PropertyFuzz, CacheOnOffBitIdenticalAcrossRandomGraphSweep) {
+  int swept = 0;
+  for (const Scenario& scenario : random_graph_sweep()) {
+    const ListEdgeColoringInstance instance = build_instance(scenario);
+    if (instance.graph.num_edges() == 0) continue;
+    ++swept;
+    SCOPED_TRACE(scenario.name());
+    const SolveResult res = Solver(Policy::practical()).solve(instance);
+    EXPECT_TRUE(is_proper_edge_coloring(instance.graph, res.colors));
+    EXPECT_TRUE(is_valid_list_coloring(instance, res.colors));
+    test_support::expect_cache_matches_rescan(instance.graph, res.colors, instance.lists,
+                                              !NeighborColorCache::fits(instance.graph),
+                                              /*stride=*/1);
   }
   EXPECT_GE(swept, 25);  // the sweep must not silently degenerate
 }
 
-// The round-loop schedule sweep: superstep fusion on/off x validation tier
-// {off, sampled, every_round} must leave every fingerprint — colors, rounds,
-// raw rounds, the full ledger report — bit-identical to the reference
-// schedule (unfused, every_round) on a seeded random-graph sweep.  The
-// schedule knobs only reorganize sweeps and skip pure-assert walks; nothing
-// an edge observes may change.
+// family x size x seed sweep: validation tier {off, sampled, every_round} x
+// shards {1, 2, 7} must leave every fingerprint — colors, rounds, raw
+// rounds, the full ledger report — bit-identical to the serial every_round
+// solve, and that solve must be a proper list coloring.  The tier only skips
+// pure-assert walks and shards only re-partition edge-owned work; nothing an
+// edge observes may change.
 TEST(PropertyFuzz, FusionAndValidationTierBitIdenticalAcrossRandomSweep) {
-  struct Case {
-    GraphFamily family;
-    int size;
-    int aux;
-  };
-  const Case cases[] = {
-      {GraphFamily::kGnp, 36, 0},
-      {GraphFamily::kRegular, 40, 6},
-      {GraphFamily::kPowerLaw, 60, 10},
-  };
+  ThreadPool pool(3);
   int swept = 0;
-  for (const Case& c : cases) {
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const Scenario scenario{c.family, c.size,
-                              seed % 2 ? ListFlavor::kTwoDelta
-                                       : ListFlavor::kRandomDegPlusOne,
-                              PolicyKind::kPractical, seed, c.aux};
-      const ListEdgeColoringInstance instance = build_instance(scenario);
-      if (instance.graph.num_edges() == 0) continue;
-      ++swept;
+  for (const Scenario& scenario : random_graph_sweep()) {
+    const ListEdgeColoringInstance instance = build_instance(scenario);
+    if (instance.graph.num_edges() == 0) continue;
+    ++swept;
 
-      ExecConfig reference_config;
-      reference_config.fuse_supersteps = false;
-      reference_config.validation_tier = ValidationTier::kEveryRound;
-      const SolveResult reference =
-          Solver(Policy::practical(), reference_config).solve(instance);
+    ExecConfig reference_config;
+    reference_config.validation_tier = ValidationTier::kEveryRound;
+    const SolveResult reference =
+        Solver(Policy::practical(), reference_config).solve(instance);
+    EXPECT_TRUE(is_proper_edge_coloring(instance.graph, reference.colors)) << scenario.name();
+    EXPECT_TRUE(is_valid_list_coloring(instance, reference.colors)) << scenario.name();
 
-      for (const bool fuse : {true, false}) {
-        for (const ValidationTier tier :
-             {ValidationTier::kOff, ValidationTier::kSampled,
-              ValidationTier::kEveryRound}) {
-          ExecConfig config;
-          config.fuse_supersteps = fuse;
-          config.validation_tier = tier;
-          const SolveResult res = Solver(Policy::practical(), config).solve(instance);
-          const std::string tag = scenario.name() + (fuse ? " fused" : " split") +
-                                  " tier=" + validation_tier_name(tier);
-          EXPECT_EQ(res.colors, reference.colors) << tag;
-          EXPECT_EQ(res.rounds, reference.rounds) << tag;
-          EXPECT_EQ(res.raw_rounds, reference.raw_rounds) << tag;
-          EXPECT_EQ(res.round_report, reference.round_report) << tag;
-        }
+    for (const ValidationTier tier :
+         {ValidationTier::kOff, ValidationTier::kSampled, ValidationTier::kEveryRound}) {
+      for (const int shards : {1, 2, 7}) {
+        ExecConfig config;
+        config.validation_tier = tier;
+        config.shards = shards;
+        config.min_sharded_edges = 0;  // shard even these small graphs
+        config.shared_pool = shards > 1 ? &pool : nullptr;
+        const SolveResult res = Solver(Policy::practical(), config).solve(instance);
+        const std::string tag = scenario.name() + " tier=" + validation_tier_name(tier) +
+                                " shards=" + std::to_string(shards);
+        EXPECT_EQ(res.colors, reference.colors) << tag;
+        EXPECT_EQ(res.rounds, reference.rounds) << tag;
+        EXPECT_EQ(res.raw_rounds, reference.raw_rounds) << tag;
+        EXPECT_EQ(res.round_report, reference.round_report) << tag;
       }
     }
   }
-  EXPECT_GE(swept, 8);  // the sweep must not silently degenerate
+  EXPECT_GE(swept, 25);  // the sweep must not silently degenerate
 }
 
 // The batched incremental class sweep (delta-fed forbidden sets, small

@@ -6,16 +6,17 @@
 //     equal the O(tree) reference walks after EVERY operation of randomized
 //     scope/charge sequences — the contract that makes progress checkpoints
 //     O(1) instead of a per-round ledger-tree walk.
-//   * The LOCAL engine runs node programs to identical outputs and
-//     EngineStats with superstep fusion on and off — including programs that go silent on some rounds, the case where a
-//     stale inbox slot would leak if the round stamps were wrong.
+//   * The LOCAL engine never clears inboxes: a program whose neighbors go
+//     silent on some rounds reads no message on those rounds although the
+//     slot still holds the previous round's, and reads the fresh message on
+//     every round after a send.
 //   * The full Solver is bit-identical (colors, rounds, raw rounds, the
-//     whole ledger report) across fusion {on, off} x validation tier
-//     {off, sampled, every_round} x shards {1, 2, 7} x neighbor cache
-//     {on, off} — the complete knob cube of ExecConfig's round-loop surface.
+//     whole ledger report) across validation tier {off, sampled,
+//     every_round} x shards {1, 2, 7} — the complete knob cube of
+//     ExecConfig's round-loop surface.
 //   * RoundProfile's deterministic counters report the schedule faithfully:
-//     fusion-only counters are zero on the split schedule, the gate draw
-//     count is tier-invariant, and each tier runs/skips exactly as specified.
+//     the gate draw count is tier-invariant, and each tier runs/skips
+//     exactly as specified.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -105,77 +106,91 @@ TEST(RoundLoopLedger, DeepAlternatingNestStaysPinnedWhileUnwinding) {
 
 // -------------------------------------------------------- the LOCAL engine ---
 
-/// Goes silent on odd rounds: sends (id * 64 + round) on every port in init
-/// and on even rounds only, and every round folds what it received — with a
-/// distinct sentinel for silent ports — into a running hash.  If superstep
-/// fusion ever let a stale inbox slot from an earlier round show through
-/// (the clear pass it skips), the silent-round sentinel turns into the stale
-/// payload and the hash diverges.
-class IntermittentProgram final : public NodeProgram {
- public:
-  IntermittentProgram(int rounds, std::uint64_t* out) : rounds_(rounds), out_(out) {}
+/// What one port showed a node in one round.
+struct PortView {
+  int round = 0;
+  int port = 0;
+  bool received = false;
+  std::uint64_t sender = 0;      // words[0] of the message
+  std::uint64_t sent_round = 0;  // words[1] of the message
+};
 
-  void init(NodeContext& ctx) override {
-    acc_ = ctx.my_id() * 2654435761u;
-    ctx.broadcast(Message{{ctx.my_id() * 64}});
-  }
+/// Sends (id, round) on every port on odd rounds only (init is silent), so
+/// a neighbor's message lands on every even round and the slot it filled is
+/// stale on the odd round after.  Logs every port of every round.
+class OddRoundSender final : public NodeProgram {
+ public:
+  OddRoundSender(int rounds, std::vector<PortView>* log) : rounds_(rounds), log_(log) {}
+
+  void init(NodeContext&) override {}
 
   void round(NodeContext& ctx) override {
     for (int p = 0; p < ctx.degree(); ++p) {
       const Message* msg = ctx.received(p);
-      acc_ = acc_ * 31 + (msg != nullptr ? msg->words.at(0) : 7);
+      PortView seen{ctx.round(), p, msg != nullptr, 0, 0};
+      if (msg != nullptr) {
+        seen.sender = msg->words.at(0);
+        seen.sent_round = msg->words.at(1);
+      }
+      log_->push_back(seen);
     }
     if (ctx.round() >= rounds_) {
-      *out_ = acc_;
       ctx.finish();
       return;
     }
-    if (ctx.round() % 2 == 0) {
-      ctx.broadcast(
-          Message{{ctx.my_id() * 64 + static_cast<std::uint64_t>(ctx.round())}});
+    if (ctx.round() % 2 == 1) {
+      ctx.broadcast(Message{{ctx.my_id(), static_cast<std::uint64_t>(ctx.round())}});
     }
   }
 
  private:
   int rounds_;
-  std::uint64_t* out_;
-  std::uint64_t acc_ = 0;
+  std::vector<PortView>* log_;
 };
 
-void expect_fusion_invisible_on(const Graph& g) {
-  auto run_serial = [&](bool fuse, std::vector<std::uint64_t>& out) {
-    Engine engine(g, fuse);
-    return engine.run(
-        [&](NodeId v) {
-          return std::make_unique<IntermittentProgram>(
-              6, &out[static_cast<std::size_t>(v)]);
-        },
-        1000);
-  };
-  std::vector<std::uint64_t> reference(static_cast<std::size_t>(g.num_nodes()), 0);
-  const EngineStats ref_stats = run_serial(/*fuse=*/false, reference);
-
-  std::vector<std::uint64_t> fused(static_cast<std::size_t>(g.num_nodes()), 0);
-  const EngineStats fused_stats = run_serial(/*fuse=*/true, fused);
-  EXPECT_EQ(fused, reference);
-  EXPECT_EQ(fused_stats.rounds, ref_stats.rounds);
-  EXPECT_EQ(fused_stats.messages, ref_stats.messages);
-  EXPECT_EQ(fused_stats.words, ref_stats.words);
-  EXPECT_EQ(fused_stats.max_message_words, ref_stats.max_message_words);
+void expect_silent_rounds_read_nothing_on(const Graph& g) {
+  constexpr int kRounds = 6;
+  std::vector<std::vector<PortView>> logs(static_cast<std::size_t>(g.num_nodes()));
+  Engine engine(g);
+  const EngineStats stats = engine.run(
+      [&](NodeId v) {
+        return std::make_unique<OddRoundSender>(kRounds, &logs[static_cast<std::size_t>(v)]);
+      },
+      1000);
+  EXPECT_EQ(stats.rounds, kRounds);
+  // Rounds 1, 3 and 5 send one message per (node, port).
+  EXPECT_EQ(stats.messages, 3 * 2 * static_cast<std::int64_t>(g.num_edges()));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto& log = logs[static_cast<std::size_t>(v)];
+    ASSERT_EQ(log.size(), static_cast<std::size_t>(kRounds * g.degree(v))) << "node " << v;
+    for (const PortView& seen : log) {
+      const std::string tag = "node " + std::to_string(v) + " round " +
+                              std::to_string(seen.round) + " port " + std::to_string(seen.port);
+      if (seen.round % 2 == 1) {
+        EXPECT_FALSE(seen.received) << tag;
+        continue;
+      }
+      ASSERT_TRUE(seen.received) << tag;
+      EXPECT_EQ(seen.sender, g.local_id(engine.port_neighbor(v, seen.port))) << tag;
+      EXPECT_EQ(seen.sent_round, static_cast<std::uint64_t>(seen.round - 1)) << tag;
+    }
+  }
 }
 
+// The engine never runs a clear sweep over the inboxes; the round stamps
+// must make that invisible to a program whose neighbors go silent.
 TEST(RoundLoopEngine, SkippedClearSweepIsInvisibleToSilentRoundPrograms) {
-  expect_fusion_invisible_on(make_cycle(31));
-  expect_fusion_invisible_on(make_complete(12));
-  expect_fusion_invisible_on(make_random_regular(40, 8, 42));
-  expect_fusion_invisible_on(make_power_law(60, 2.5, 12.0, 7));
+  expect_silent_rounds_read_nothing_on(make_cycle(31));
+  expect_silent_rounds_read_nothing_on(make_complete(12));
+  expect_silent_rounds_read_nothing_on(make_random_regular(40, 8, 42));
+  expect_silent_rounds_read_nothing_on(make_power_law(60, 2.5, 12.0, 7));
 }
 
 // --------------------------------------------------- the solver knob cube ---
 
-// The full differential: fusion x validation tier x shard count x neighbor
-// cache, every combination pinned to one reference fingerprint — colors,
-// effective rounds, raw rounds, and the entire per-scope ledger report.
+// The full differential: validation tier x shard count, every combination
+// pinned to one reference fingerprint — colors, effective rounds, raw
+// rounds, and the entire per-scope ledger report.
 TEST(RoundLoopSolver, KnobCubeBitIdenticalOnSmallInstances) {
   const Scenario scenarios[] = {
       {GraphFamily::kComplete, 12, ListFlavor::kTwoDelta, PolicyKind::kPractical, 42, 0},
@@ -186,33 +201,24 @@ TEST(RoundLoopSolver, KnobCubeBitIdenticalOnSmallInstances) {
     const ListEdgeColoringInstance instance = build_instance(scenario);
 
     ExecConfig reference_config;
-    reference_config.fuse_supersteps = false;
     reference_config.validation_tier = ValidationTier::kEveryRound;
     const SolveResult reference =
         Solver(Policy::practical(), reference_config).solve(instance);
 
-    for (const bool fuse : {true, false}) {
-      for (const ValidationTier tier :
-           {ValidationTier::kOff, ValidationTier::kSampled, ValidationTier::kEveryRound}) {
-        for (const int shards : {1, 2, 7}) {
-          for (const bool cache : {true, false}) {
-            ExecConfig config;
-            config.fuse_supersteps = fuse;
-            config.validation_tier = tier;
-            config.shards = shards;
-            config.min_sharded_edges = 0;  // force sharding on tiny graphs
-            config.use_neighbor_cache = cache;
-            const SolveResult res = Solver(Policy::practical(), config).solve(instance);
-            const std::string tag = scenario.name() + (fuse ? " fused" : " split") +
-                                    " tier=" + validation_tier_name(tier) +
-                                    " shards=" + std::to_string(shards) +
-                                    (cache ? " cached" : " uncached");
-            EXPECT_EQ(res.colors, reference.colors) << tag;
-            EXPECT_EQ(res.rounds, reference.rounds) << tag;
-            EXPECT_EQ(res.raw_rounds, reference.raw_rounds) << tag;
-            EXPECT_EQ(res.round_report, reference.round_report) << tag;
-          }
-        }
+    for (const ValidationTier tier :
+         {ValidationTier::kOff, ValidationTier::kSampled, ValidationTier::kEveryRound}) {
+      for (const int shards : {1, 2, 7}) {
+        ExecConfig config;
+        config.validation_tier = tier;
+        config.shards = shards;
+        config.min_sharded_edges = 0;  // force sharding on tiny graphs
+        const SolveResult res = Solver(Policy::practical(), config).solve(instance);
+        const std::string tag = scenario.name() + " tier=" + validation_tier_name(tier) +
+                                " shards=" + std::to_string(shards);
+        EXPECT_EQ(res.colors, reference.colors) << tag;
+        EXPECT_EQ(res.rounds, reference.rounds) << tag;
+        EXPECT_EQ(res.raw_rounds, reference.raw_rounds) << tag;
+        EXPECT_EQ(res.round_report, reference.round_report) << tag;
       }
     }
   }
@@ -220,10 +226,8 @@ TEST(RoundLoopSolver, KnobCubeBitIdenticalOnSmallInstances) {
 
 // ------------------------------------------------------------ the profile ---
 
-SolveResult solve_with(const ListEdgeColoringInstance& instance, bool fuse,
-                       ValidationTier tier) {
+SolveResult solve_with(const ListEdgeColoringInstance& instance, ValidationTier tier) {
   ExecConfig config;
-  config.fuse_supersteps = fuse;
   config.validation_tier = tier;
   return Solver(Policy::practical(), config).solve(instance);
 }
@@ -233,29 +237,19 @@ TEST(RoundLoopProfile, CountersReportTheScheduleFaithfully) {
                           PolicyKind::kPractical, 42, 6};
   const ListEdgeColoringInstance instance = build_instance(scenario);
 
-  const SolveResult fused =
-      solve_with(instance, /*fuse=*/true, ValidationTier::kEveryRound);
-  const RoundProfile& fp = fused.stats.profile;
+  const SolveResult full = solve_with(instance, ValidationTier::kEveryRound);
+  const RoundProfile& fp = full.stats.profile;
   EXPECT_GT(fp.supersteps, 0);
-  EXPECT_GT(fp.fused_sweeps_saved, 0);
   EXPECT_GT(fp.validation_walks_run, 0);
   EXPECT_EQ(fp.validation_walks_skipped, 0);
 
-  const SolveResult split =
-      solve_with(instance, /*fuse=*/false, ValidationTier::kEveryRound);
-  const RoundProfile& sp = split.stats.profile;
-  // The fusion-only counters are the fused schedule's signature; the split
-  // schedule must not claim them.
-  EXPECT_EQ(sp.supersteps, 0);
-  EXPECT_EQ(sp.fused_sweeps_saved, 0);
-  EXPECT_EQ(sp.validation_walks_run, fp.validation_walks_run);
-
-  const SolveResult off = solve_with(instance, /*fuse=*/true, ValidationTier::kOff);
+  const SolveResult off = solve_with(instance, ValidationTier::kOff);
   EXPECT_EQ(off.stats.profile.validation_walks_run, 0);
   EXPECT_GT(off.stats.profile.validation_walks_skipped, 0);
+  // Supersteps follow the serial control flow, not the tier.
+  EXPECT_EQ(off.stats.profile.supersteps, fp.supersteps);
 
-  const SolveResult sampled =
-      solve_with(instance, /*fuse=*/true, ValidationTier::kSampled);
+  const SolveResult sampled = solve_with(instance, ValidationTier::kSampled);
   EXPECT_GT(sampled.stats.profile.validation_walks_run, 0);
 
   // The gate is drawn at the same sites whatever the tier answers: the draw

@@ -3,7 +3,7 @@
 // The pins, in order of importance:
 //   1. Differential: every Ok outcome is bit-identical — colors hash, round
 //      counts, ledger report — to a direct Solver::solve, for any worker
-//      count x shard count {1,2,7} x neighbor-cache on/off.
+//      count x shard count {1,2,7}.
 //   2. Cancellation semantics: cancel-before-start resolves kCancelled with
 //      no work done; cancel-after-finish is a no-op (outcome stays Ok and
 //      bit-identical); mid-solve cancel stops at a round boundary.
@@ -81,33 +81,29 @@ TEST(SolveServiceDifferential, BitIdenticalToDirectSolverAcrossConfigs) {
 
   for (const int workers : {1, 3}) {
     for (const int shards : {1, 2, 7}) {
-      for (const bool cache : {true, false}) {
-        ExecConfig config;
-        config.workers = workers;
-        config.shards = shards;
-        config.use_neighbor_cache = cache;
-        if (shards > 1) config.min_sharded_edges = 0;  // shard even tiny graphs
-        SolveService service(config);
+      ExecConfig config;
+      config.workers = workers;
+      config.shards = shards;
+      if (shards > 1) config.min_sharded_edges = 0;  // shard even tiny graphs
+      SolveService service(config);
 
-        std::vector<SolveTicket> tickets;
-        for (const Scenario& s : manifest) {
-          tickets.push_back(service.submit(SolveRequest::from_scenario(s)));
-        }
-        for (std::size_t i = 0; i < manifest.size(); ++i) {
-          const SolveOutcome& out = tickets[i].wait();
-          const std::string tag = manifest[i].name() + " workers=" +
-                                  std::to_string(workers) + " shards=" +
-                                  std::to_string(shards) + (cache ? " cached" : " uncached");
-          ASSERT_EQ(out.status, SolveStatus::kOk) << tag << ": " << out.error;
-          EXPECT_TRUE(out.valid) << tag;
-          EXPECT_EQ(out.colors_hash, hash_coloring(reference[i].colors)) << tag;
-          EXPECT_EQ(out.result.colors, reference[i].colors) << tag;
-          EXPECT_EQ(out.result.rounds, reference[i].rounds) << tag;
-          EXPECT_EQ(out.result.raw_rounds, reference[i].raw_rounds) << tag;
-          EXPECT_EQ(out.result.round_report, reference[i].round_report) << tag;
-          EXPECT_EQ(out.shards, shards) << tag;
-          EXPECT_GE(out.queue_ms, 0.0) << tag;
-        }
+      std::vector<SolveTicket> tickets;
+      for (const Scenario& s : manifest) {
+        tickets.push_back(service.submit(SolveRequest::from_scenario(s)));
+      }
+      for (std::size_t i = 0; i < manifest.size(); ++i) {
+        const SolveOutcome& out = tickets[i].wait();
+        const std::string tag = manifest[i].name() + " workers=" + std::to_string(workers) +
+                                " shards=" + std::to_string(shards);
+        ASSERT_EQ(out.status, SolveStatus::kOk) << tag << ": " << out.error;
+        EXPECT_TRUE(out.valid) << tag;
+        EXPECT_EQ(out.colors_hash, hash_coloring(reference[i].colors)) << tag;
+        EXPECT_EQ(out.result.colors, reference[i].colors) << tag;
+        EXPECT_EQ(out.result.rounds, reference[i].rounds) << tag;
+        EXPECT_EQ(out.result.raw_rounds, reference[i].raw_rounds) << tag;
+        EXPECT_EQ(out.result.round_report, reference[i].round_report) << tag;
+        EXPECT_EQ(out.shards, shards) << tag;
+        EXPECT_GE(out.queue_ms, 0.0) << tag;
       }
     }
   }

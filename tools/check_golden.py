@@ -12,13 +12,6 @@ is deliberately re-baselined.
 Usage:
     check_golden.py REPORT GOLDEN          # gate: compare REPORT to GOLDEN
     check_golden.py REPORT GOLDEN --write  # re-baseline: write GOLDEN from REPORT
-    check_golden.py REPORT GOLDEN --ratio-report UNCACHED_REPORT
-        # additionally gate UNCACHED_REPORT's fingerprint against the same
-        # golden (proving the cached and uncached neighbor-cache paths solve
-        # bit-identically) and report the cached-vs-uncached solve-time
-        # ratio; with --write the ratio is stored in the golden as the
-        # informational ``cache_speedup`` field (wall time — never compared
-        # by the gate, re-measured at every re-baseline).
     check_golden.py REPORT GOLDEN --metrics-report METRICS.prom
         # additionally validate a Prometheus text dump written by
         # ``cli_solve/batch_solve --metrics-dump`` or
@@ -31,14 +24,13 @@ Usage:
         # additionally print each scenario's unified ``stats`` block (the
         # SolverStats surface every producer emits verbatim via
         # solver_stats_json: pass counters, cache telemetry, and the
-        # round-loop ``profile`` — supersteps, fused sweeps saved,
-        # validation walks run/skipped).  Informational only: the counters
-        # are schedule-dependent by design (fusion/tier change them while
-        # the fingerprint stays pinned), so they are never gated.
+        # round-loop ``profile`` — supersteps, validation walks
+        # run/skipped).  Informational only: the counters are
+        # schedule-dependent by design (the tier changes them while the
+        # fingerprint stays pinned), so they are never gated.
 
-The golden file stores only the fingerprint fields (plus the informational
-cache ratio), so re-baselining after an intentional algorithm change
-produces a minimal, reviewable diff.
+The golden file stores only the fingerprint fields, so re-baselining after
+an intentional algorithm change produces a minimal, reviewable diff.
 """
 
 import argparse
@@ -139,13 +131,6 @@ def main():
         help="re-baseline: overwrite GOLDEN with REPORT's fingerprint",
     )
     parser.add_argument(
-        "--ratio-report",
-        metavar="UNCACHED_REPORT",
-        help="uncached-path report: fingerprint-gated against the same golden, "
-        "and the cached-vs-uncached solve-time ratio is reported (stored as "
-        "the informational cache_speedup field with --write)",
-    )
-    parser.add_argument(
         "--metrics-report",
         metavar="METRICS_PROM",
         help="Prometheus text dump (--metrics-dump output): validate that it "
@@ -190,35 +175,11 @@ def main():
             profile = stats.get("profile", {})
             print(
                 f"  {s['name']}: supersteps={profile.get('supersteps')} "
-                f"fused_sweeps_saved={profile.get('fused_sweeps_saved')} "
                 f"validation_walks={profile.get('validation_walks_run')}/"
                 f"{profile.get('validation_walks_skipped')} skipped, "
                 f"cache_deltas={stats.get('cache_deltas')} "
                 f"basecase_calls={stats.get('basecase_calls')}"
             )
-
-    cache_speedup = None
-    uncached_actual = None
-    if args.ratio_report:
-        with open(args.ratio_report) as f:
-            uncached = json.load(f)
-        uncached_actual = fingerprint(uncached)
-        cached_ms = report.get("total_solve_ms", 0.0)
-        uncached_ms = uncached.get("total_solve_ms", 0.0)
-        if cached_ms <= 0 or uncached_ms <= 0:
-            # A missing/zero timing must not silently skip the ratio (and,
-            # under --write, the cached==uncached fingerprint guard with it).
-            print(
-                "FAIL: --ratio-report given but total_solve_ms is missing or "
-                f"non-positive (cached {cached_ms!r}, uncached {uncached_ms!r})"
-            )
-            return 1
-        cache_speedup = uncached_ms / cached_ms
-        print(
-            f"cache ratio: uncached {uncached_ms:.1f} ms / cached {cached_ms:.1f} ms "
-            f"= {cache_speedup:.2f}x (informational — never gated; the binding "
-            "pass-level gate is bench_neighbor_cache --min-ratio)"
-        )
 
     if args.write:
         golden = {
@@ -226,22 +187,6 @@ def main():
             "tools/check_golden.py REPORT GOLDEN --write",
             "scenarios": actual,
         }
-        if cache_speedup is not None:
-            if uncached_actual != actual:
-                print("FAIL: cached and uncached fingerprints differ; not writing")
-                return 1
-            golden["cache_speedup"] = round(cache_speedup, 3)
-        else:
-            # A plain --write must not silently drop the informational ratio;
-            # carry the previous measurement forward (re-measured whenever
-            # the re-baseline passes --ratio-report).
-            try:
-                with open(args.golden) as f:
-                    previous = json.load(f).get("cache_speedup")
-                if previous is not None:
-                    golden["cache_speedup"] = previous
-            except (OSError, ValueError):
-                pass
         with open(args.golden, "w") as f:
             json.dump(golden, f, indent=2)
             f.write("\n")
@@ -274,8 +219,6 @@ def main():
                     )
 
     compare(args.report, actual)
-    if uncached_actual is not None:
-        compare(args.ratio_report, uncached_actual)
 
     if failures:
         print(f"FAIL: drift from {args.golden}:")
@@ -284,8 +227,7 @@ def main():
         print("If the change is intentional, re-baseline with --write and commit.")
         return 1
 
-    checked = len(actual) + (len(uncached_actual) if uncached_actual else 0)
-    print(f"OK: {checked} scenario fingerprints match {args.golden}")
+    print(f"OK: {len(actual)} scenario fingerprints match {args.golden}")
     return 0
 
 
