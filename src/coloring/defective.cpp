@@ -7,6 +7,7 @@
 #include "src/coloring/three_color.hpp"
 #include "src/coloring/validate.hpp"
 #include "src/common/math.hpp"
+#include "src/obs/trace.hpp"
 
 namespace qplec {
 
@@ -14,6 +15,7 @@ DefectiveColoring defective_edge_coloring(const Graph& g, const EdgeSubset& H, i
                                           const std::vector<std::uint64_t>& phi,
                                           std::uint64_t phi_palette, RoundLedger& ledger,
                                           const ExecBackend* exec, ValidationGate* gate) {
+  const trace::Span span("defective-coloring", "engine");
   const ExecBackend& ex = exec != nullptr ? *exec : serial_backend();
   QPLEC_REQUIRE(beta >= 1);
   QPLEC_REQUIRE(H.universe_size() == g.num_edges());

@@ -4,6 +4,7 @@
 
 #include "src/coloring/linial.hpp"
 #include "src/coloring/validate.hpp"
+#include "src/obs/trace.hpp"
 
 namespace qplec {
 
@@ -11,6 +12,7 @@ void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& l
                        const std::vector<std::uint64_t>& phi, std::uint64_t palette,
                        std::vector<Color>& out, RoundLedger& ledger, const ExecBackend* exec,
                        const SolveControl* control, ValidationGate* gate, int batch_quantum) {
+  const trace::Span span("greedy-sweep", "engine");
   const ExecBackend& ex = exec != nullptr ? *exec : serial_backend();
   QPLEC_REQUIRE(out.size() == static_cast<std::size_t>(view.num_items()));
   QPLEC_REQUIRE(lists.size() == static_cast<std::size_t>(view.num_items()));

@@ -160,6 +160,7 @@ int SolverEngine::relaxed_head(const EdgeSubset& A, double slack, Color lo, Colo
 }
 
 void SolverEngine::solve_basecase(const EdgeSubset& H) {
+  const trace::Span span("basecase", "engine");
   checkpoint();
   ++stats_.basecase_calls;
   const int d = round_head(H, "base case feasibility");

@@ -68,9 +68,7 @@ class ExecBackend {
     QPLEC_REQUIRE_MSG(s.universe_size() == g_->num_edges(),
                       "subset universe does not match the sharded graph");
     run_lanes(lanes(), [&](int lane) {
-      for (EdgeId e = edge_bounds_[lane]; e < edge_bounds_[lane + 1]; ++e) {
-        if (s.contains(e)) fn(lane, e);
-      }
+      s.for_each_in(edge_bounds_[lane], edge_bounds_[lane + 1], [&](EdgeId e) { fn(lane, e); });
     });
   }
 

@@ -6,7 +6,11 @@ namespace qplec {
 
 EdgeSubset EdgeSubset::all(const Graph& g) {
   EdgeSubset s(g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) s.insert(e);
+  std::fill(s.words_.begin(), s.words_.end(), ~std::uint64_t{0});
+  if (const int tail = s.universe_ % 64; tail != 0) {
+    s.words_.back() = ~std::uint64_t{0} >> (64 - tail);
+  }
+  s.size_ = s.universe_;
   return s;
 }
 

@@ -898,14 +898,19 @@ void SolveService::run_job(SolveTicket::Job& job) const {
         instance = build_instance(req.scenario_);
         break;
       case SolveRequest::Source::kDimacs: {
-        std::ifstream in(req.path_);
-        if (!in) throw std::invalid_argument("cannot open " + req.path_);
-        Graph g = read_edge_list(in);
-        if (req.scramble_) {
-          const auto n = static_cast<std::uint64_t>(g.num_nodes());
-          g = g.with_scrambled_ids(std::max<std::uint64_t>(1, n * std::max<std::uint64_t>(1, n)),
-                                   req.scramble_seed_);
+        Graph g;
+        {
+          const trace::Span span("parse", "service");
+          std::ifstream in(req.path_);
+          if (!in) throw std::invalid_argument("cannot open " + req.path_);
+          g = read_edge_list(in);
+          if (req.scramble_) {
+            const auto n = static_cast<std::uint64_t>(g.num_nodes());
+            g = g.with_scrambled_ids(
+                std::max<std::uint64_t>(1, n * std::max<std::uint64_t>(1, n)), req.scramble_seed_);
+          }
         }
+        const trace::Span span("lists", "service");
         instance = req.list_palette_ > 0
                        ? make_random_list_instance(std::move(g), req.list_palette_, req.list_seed_)
                        : make_two_delta_instance(std::move(g));

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/coloring/conflict.hpp"
@@ -301,6 +303,44 @@ TEST(ExecBackend, ShardedVisitsEveryMemberExactlyOnce) {
     std::vector<int> index_visits(31, 0);
     backend.for_indices(31, [&](int, int i) { ++index_visits[static_cast<std::size_t>(i)]; });
     for (const int count : index_visits) EXPECT_EQ(count, 1);
+  }
+}
+
+TEST(ExecBackend, ShardedForMembersSparseSubsetLaneOwnership) {
+  const Graph g = make_power_law(400, 2.5, 20.0, 5);
+  ThreadPool pool(4);
+  for (const int shards : kShardCounts) {
+    const ExecBackend backend(g, shards, pool);
+    const auto lanes = static_cast<std::size_t>(backend.lanes());
+    std::vector<std::pair<EdgeId, EdgeId>> owned(lanes);
+    backend.for_edge_ranges(g.num_edges(), [&](int lane, EdgeId begin, EdgeId end) {
+      owned[static_cast<std::size_t>(lane)] = {begin, end};
+    });
+    // Members sit where a word-at-a-time scan can slip: every lane's first
+    // and last edge and every multiple of 64.
+    EdgeSubset sparse(g.num_edges());
+    for (const auto& [begin, end] : owned) {
+      if (begin == end) continue;
+      sparse.insert(begin);
+      sparse.insert(end - 1);
+    }
+    for (EdgeId e = 0; e < g.num_edges(); e += 64) sparse.insert(e);
+
+    std::vector<std::vector<EdgeId>> visited(lanes);
+    backend.for_members(sparse, [&](int lane, EdgeId e) {
+      visited[static_cast<std::size_t>(lane)].push_back(e);
+    });
+    std::vector<EdgeId> all;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const auto& seen = visited[lane];
+      EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end())) << "lane " << lane;
+      for (const EdgeId e : seen) {
+        EXPECT_GE(e, owned[lane].first) << "lane " << lane << " visited foreign edge " << e;
+        EXPECT_LT(e, owned[lane].second) << "lane " << lane << " visited foreign edge " << e;
+      }
+      all.insert(all.end(), seen.begin(), seen.end());
+    }
+    EXPECT_EQ(all, sparse.to_vector()) << shards << " shards";
   }
 }
 

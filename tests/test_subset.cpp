@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/common/rng.hpp"
 #include "src/graph/builder.hpp"
 #include "src/graph/generators.hpp"
 
@@ -86,6 +92,80 @@ TEST(EdgeSubset, Equality) {
   EXPECT_EQ(a, b);
   b.insert(2);
   EXPECT_FALSE(a == b);
+}
+
+TEST(EdgeSubset, ForEachInMatchesReferenceScan) {
+  Rng rng(2024);
+  for (const int universe : {0, 1, 63, 64, 65, 130, 1000}) {
+    // Densities 0, 1/300, 1/2 and 1, each reached by mixed inserts and
+    // erases: insert at twice the target rate, then erase half back.
+    for (const double density : {0.0, 1.0 / 300.0, 0.5, 1.0}) {
+      SCOPED_TRACE("universe " + std::to_string(universe) + ", density " +
+                   std::to_string(density));
+      EdgeSubset s(universe);
+      std::vector<bool> oracle(static_cast<std::size_t>(universe), false);
+      const double insert_p = std::min(1.0, 2.0 * density);
+      const double erase_p = density >= 1.0 ? 0.0 : 0.5;
+      for (EdgeId e = 0; e < universe; ++e) {
+        if (rng.next_bool(insert_p)) {
+          s.insert(e);
+          oracle[static_cast<std::size_t>(e)] = true;
+        }
+      }
+      for (EdgeId e = 0; e < universe; ++e) {
+        if (oracle[static_cast<std::size_t>(e)] && rng.next_bool(erase_p)) {
+          s.erase(e);
+          s.erase(e);  // idempotent
+          oracle[static_cast<std::size_t>(e)] = false;
+        } else if (oracle[static_cast<std::size_t>(e)]) {
+          s.insert(e);  // idempotent
+        }
+      }
+      int members = 0;
+      for (EdgeId e = 0; e < universe; ++e) {
+        EXPECT_EQ(s.contains(e), oracle[static_cast<std::size_t>(e)]) << "edge " << e;
+        members += oracle[static_cast<std::size_t>(e)] ? 1 : 0;
+      }
+      EXPECT_EQ(s.size(), members);
+      if (density >= 1.0 && universe > 0) {
+        EXPECT_EQ(s, EdgeSubset::all(make_path(universe + 1)));
+      }
+
+      // Ranges: the whole universe, every word-unaligned pair around the
+      // word boundaries, empty ranges, and random ones.
+      std::vector<std::pair<EdgeId, EdgeId>> ranges{{0, universe}, {universe, universe}};
+      for (const EdgeId b : {0, 1, 62, 63, 64, 65, 127, 128, 129}) {
+        for (const EdgeId e : {b, b + 1, 63, 64, 65, 127, 128, 129, universe - 1, universe}) {
+          if (b <= e && e <= universe) ranges.emplace_back(b, e);
+        }
+      }
+      const auto point = [&] {
+        return static_cast<EdgeId>(rng.next_below(static_cast<std::uint64_t>(universe) + 1));
+      };
+      for (int i = 0; i < 40; ++i) {
+        const EdgeId a = point();
+        const EdgeId b = point();
+        ranges.emplace_back(std::min(a, b), std::max(a, b));
+      }
+      for (const auto& [begin, end] : ranges) {
+        std::vector<EdgeId> expected;
+        for (EdgeId e = begin; e < end; ++e) {
+          if (oracle[static_cast<std::size_t>(e)]) expected.push_back(e);
+        }
+        std::vector<EdgeId> seen;
+        s.for_each_in(begin, end, [&](EdgeId e) { seen.push_back(e); });
+        EXPECT_EQ(seen, expected) << "range [" << begin << ", " << end << ")";
+      }
+      std::vector<EdgeId> all_members;
+      s.for_each([&](EdgeId e) { all_members.push_back(e); });
+      EXPECT_EQ(all_members, s.to_vector());
+      EXPECT_EQ(static_cast<int>(all_members.size()), members);
+    }
+  }
+  EdgeSubset s(65);
+  EXPECT_THROW(s.for_each_in(-1, 3, [](EdgeId) {}), std::invalid_argument);
+  EXPECT_THROW(s.for_each_in(4, 3, [](EdgeId) {}), std::invalid_argument);
+  EXPECT_THROW(s.for_each_in(0, 66, [](EdgeId) {}), std::invalid_argument);
 }
 
 }  // namespace
