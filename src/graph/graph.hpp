@@ -120,6 +120,12 @@ class Graph {
   /// Largest local id (the X in "ids from {1..X}").
   std::uint64_t max_local_id() const { return max_local_id_; }
 
+  /// Every edge's endpoints, indexed by edge id.
+  std::span<const EdgeEndpoints> all_endpoints() const { return edges_; }
+
+  /// Every node's local id, indexed by node id.
+  std::span<const std::uint64_t> all_local_ids() const { return local_ids_; }
+
   /// Copy of this graph with node ids replaced by a random injection into
   /// {1, ..., id_space}; id_space must be >= num_nodes().
   Graph with_scrambled_ids(std::uint64_t id_space, std::uint64_t seed) const;

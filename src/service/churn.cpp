@@ -18,7 +18,7 @@ void validate_churn(const ListEdgeColoringInstance& base, const ChurnBatch& batc
 }
 
 std::uint64_t chain_fingerprint(std::uint64_t base_fingerprint, const ChurnBatch& batch) {
-  Fnv1a fp;
+  KeyHash fp;
   fp.mix(base_fingerprint);
   fp.mix(static_cast<std::uint64_t>(batch.ops.size()));
   for (const EdgeDelta& op : batch.ops) {

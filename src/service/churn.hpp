@@ -60,7 +60,7 @@ struct ChurnSnapshot {
 void validate_churn(const ListEdgeColoringInstance& base, const ChurnBatch& batch);
 
 /// The derived-fingerprint rule: the cache key of an update is
-/// FNV-1a(base fingerprint, op count, each op's (insert, u, v)).  Pure and
+/// KeyHash(base fingerprint, op count, each op's (insert, u, v)).  Pure and
 /// order-sensitive — two batches with the same ops in different order are
 /// different updates (they are: list padding and region ids are derived
 /// from the batch as given).

@@ -1,6 +1,7 @@
 #include "src/service/result_cache.hpp"
 
 #include <cstring>
+#include <span>
 
 #include "src/common/assert.hpp"
 #include "src/obs/metrics.hpp"
@@ -35,62 +36,102 @@ struct CacheTelemetry {
   }
 };
 
+/// One unaligned 8-byte load (memcpy: any alignment, no aliasing UB).
+std::uint64_t load_word(const unsigned char* p) {
+  std::uint64_t w = 0;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
 }  // namespace
 
 // --- Fingerprint primitives --------------------------------------------------
 
-Fnv1a& Fnv1a::mix(double v) {
+KeyHash& KeyHash::mix(double v) {
   std::uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(v));
   std::memcpy(&bits, &v, sizeof(bits));
   return mix(bits);
 }
 
-Fnv1a& Fnv1a::mix_bytes(const void* data, std::size_t n) {
+KeyHash& KeyHash::mix_bytes(const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
+  const unsigned char* const end = p + n;
+  std::uint64_t acc;
+  if (n >= 32) {
+    // Four independent lanes, so consecutive loads do not wait on each
+    // other's multiplies; merged into the state xxh64-style.
+    std::uint64_t v1 = h + kP1 + kP2;
+    std::uint64_t v2 = h + kP2;
+    std::uint64_t v3 = h;
+    std::uint64_t v4 = h - kP1;
+    for (; end - p >= 32; p += 32) {
+      v1 = lane(v1, load_word(p));
+      v2 = lane(v2, load_word(p + 8));
+      v3 = lane(v3, load_word(p + 16));
+      v4 = lane(v4, load_word(p + 24));
+    }
+    acc = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) + std::rotl(v4, 18);
+    for (const std::uint64_t v : {v1, v2, v3, v4}) acc = (acc ^ lane(0, v)) * kP1 + kP4;
+  } else {
+    acc = h + kP5;
   }
+  acc += static_cast<std::uint64_t>(n);
+  for (; end - p >= 8; p += 8) acc = step(acc, load_word(p));
+  if (p != end) {
+    std::uint64_t tail = 0;  // zero-padded; the length above disambiguates
+    std::memcpy(&tail, p, static_cast<std::size_t>(end - p));
+    acc = step(acc, tail);
+  }
+  // Full avalanche: every input bit reaches every output bit.
+  acc ^= acc >> 33;
+  acc *= kP2;
+  acc ^= acc >> 29;
+  acc *= kP3;
+  acc ^= acc >> 32;
+  h = acc;
   return *this;
 }
 
-Fnv1a& Fnv1a::mix_string(const std::string& s) {
+KeyHash& KeyHash::mix_string(const std::string& s) {
   mix(static_cast<std::uint64_t>(s.size()));
   return mix_bytes(s.data(), s.size());
 }
 
 std::uint64_t fingerprint_graph(const Graph& g) {
-  Fnv1a f;
+  // The endpoint array is hashed as raw bytes, so it must hold no padding.
+  static_assert(sizeof(EdgeEndpoints) == 2 * sizeof(NodeId));
+  const std::span<const EdgeEndpoints> endpoints = g.all_endpoints();
+  const std::span<const std::uint64_t> ids = g.all_local_ids();
+  KeyHash f;
   f.mix(static_cast<std::uint64_t>(g.num_nodes()));
   f.mix(static_cast<std::uint64_t>(g.num_edges()));
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const EdgeEndpoints& ep = g.endpoints(e);
-    f.mix(static_cast<std::uint64_t>(ep.u));
-    f.mix(static_cast<std::uint64_t>(ep.v));
-  }
+  f.mix_bytes(endpoints.data(), endpoints.size_bytes());
   // Local ids steer the symmetry breaking (initial coloring, Linial tables),
   // so the same topology under a different id assignment is a different
   // solve with a different coloring.
-  for (NodeId v = 0; v < g.num_nodes(); ++v) f.mix(g.local_id(v));
+  f.mix_bytes(ids.data(), ids.size_bytes());
+  // The id-space bound X sets the initial coloring's palette, so it steers
+  // the solve too.
+  f.mix(g.max_local_id());
   return f.h;
 }
 
 std::uint64_t fingerprint_instance(const ListEdgeColoringInstance& instance) {
-  Fnv1a f;
+  KeyHash f;
   f.mix(fingerprint_graph(instance.graph));
   f.mix(static_cast<std::uint64_t>(instance.palette_size));
   f.mix(static_cast<std::uint64_t>(instance.lists.size()));
   for (const ColorList& list : instance.lists) {
-    f.mix(static_cast<std::uint64_t>(list.size()));
     const std::vector<Color>& colors = list.colors();
+    f.mix(static_cast<std::uint64_t>(colors.size()));
     f.mix_bytes(colors.data(), colors.size() * sizeof(Color));
   }
   return f.h;
 }
 
 std::uint64_t fingerprint_policy(const Policy& policy) {
-  Fnv1a f;
+  KeyHash f;
   f.mix_string(policy.name);
   f.mix(policy.base_degree_threshold);
   f.mix(policy.beta_fixed);
@@ -103,7 +144,7 @@ std::uint64_t fingerprint_policy(const Policy& policy) {
 }
 
 std::uint64_t fingerprint_exec_knobs(const ExecConfig& config) {
-  Fnv1a f;
+  KeyHash f;
   // Backend identity is part of the key: colors are bit-identical across
   // backends, but the outcome's reporting surface (shards) is not.  The
   // greedy quantum is NOT mixed — it changes no outcome field at all.

@@ -38,6 +38,7 @@
 // submission clocks).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -49,33 +50,60 @@
 
 namespace qplec {
 
-// --- Fingerprint primitives (FNV-1a, the hash_coloring convention) ---------
+// --- Fingerprint primitives ------------------------------------------------
+//
+// Request keys come from one word-at-a-time hasher built from xxh64's rounds
+// and constants.  A prebuilt instance's color lists are most of a request's
+// bytes, so a key costs time linear in those bytes at close to memory speed.
+// Keys are deterministic (no per-process seed, nothing depends on a pointer)
+// but live only in the process: no file records them.  hash_coloring
+// (src/runtime/batch_solver) is a separate, pinned FNV-1a and is not this.
 
-/// Incremental FNV-1a accumulator for composing request fingerprints.
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ull;
+/// Incremental accumulator for composing request fingerprints.  Order-
+/// sensitive by construction: a plain sum or xor of words would collide on
+/// permuted lists, and a key collision serves a wrong answer.
+struct KeyHash {
+  std::uint64_t h = kP5;
 
-  Fnv1a& mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
+  /// One multiply-rotate step per 64-bit value.
+  KeyHash& mix(std::uint64_t v) {
+    h = step(h, v);
     return *this;
   }
-  Fnv1a& mix(std::int64_t v) { return mix(static_cast<std::uint64_t>(v)); }
-  Fnv1a& mix(int v) { return mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
-  Fnv1a& mix(bool v) { return mix(static_cast<std::uint64_t>(v ? 1 : 0)); }
-  Fnv1a& mix(double v);
-  Fnv1a& mix_bytes(const void* data, std::size_t n);
-  Fnv1a& mix_string(const std::string& s);
+  KeyHash& mix(std::int64_t v) { return mix(static_cast<std::uint64_t>(v)); }
+  KeyHash& mix(int v) { return mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
+  KeyHash& mix(bool v) { return mix(static_cast<std::uint64_t>(v ? 1 : 0)); }
+  KeyHash& mix(double v);
+  /// Hashes n bytes seeded by the running state: 32-byte blocks through four
+  /// independent lanes, then 8-byte words, a zero-padded tail, the length
+  /// and a full avalanche.  Any alignment of `data` is fine.
+  KeyHash& mix_bytes(const void* data, std::size_t n);
+  KeyHash& mix_string(const std::string& s);
+
+ private:
+  static constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
+  static constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+  static constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
+  static constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+  static constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ull;
+
+  /// xxh64's lane round: absorbs one word into one lane.
+  static std::uint64_t lane(std::uint64_t acc, std::uint64_t input) {
+    return std::rotl(acc + input * kP2, 31) * kP1;
+  }
+  /// xxh64's word step: absorbs one word into the running state.
+  static std::uint64_t step(std::uint64_t acc, std::uint64_t input) {
+    return std::rotl(acc ^ lane(0, input), 27) * kP1 + kP4;
+  }
 };
 
-/// Structural fingerprint of a graph: sizes, endpoint pairs and the LOCAL
-/// ids (ids steer the paper's symmetry breaking, so two graphs that differ
-/// only in id assignment are different instances).
+/// Structural fingerprint of a graph: sizes, endpoint pairs, the LOCAL ids
+/// and the id-space bound (ids steer the paper's symmetry breaking, so two
+/// graphs that differ only in id assignment are different instances).
 std::uint64_t fingerprint_graph(const Graph& g);
 
-/// Full instance fingerprint: graph + every color list + palette size.
+/// Full instance fingerprint: graph + palette size + every color list, each
+/// list's size mixed before its bytes so list boundaries stay unambiguous.
 std::uint64_t fingerprint_instance(const ListEdgeColoringInstance& instance);
 
 /// Policy fingerprint: every field that steers the recursion.

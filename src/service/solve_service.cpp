@@ -287,14 +287,15 @@ struct SolveTicket::Job {
   /// Resolves this job from a completed identical solve (caller holds mu;
   /// !done).  The outcome is the cached one verbatim except for the fields
   /// that identify THIS submit: label, queue_ms (through the same dequeue
-  /// funnel as every other exit) and the cache_hit marker.
-  void resolve_cached_locked(const SolveOutcome& cached) {
-    SolveOutcome out = cached;
-    out.label = label;
-    out.error.clear();
-    out.cache_hit = true;
-    out.queue_ms = account_dequeue(submit_time);
-    outcome = std::move(out);
+  /// funnel as every other exit) and the cache_hit marker.  By value: a
+  /// probe hit moves its private copy in, a lease waiter passes a copy of
+  /// the leader's.
+  void resolve_cached_locked(SolveOutcome cached) {
+    cached.label = label;
+    cached.error.clear();
+    cached.cache_hit = true;
+    cached.queue_ms = account_dequeue(submit_time);
+    outcome = std::move(cached);
     account_terminal(outcome.status);
     done = true;
     cv.notify_all();
@@ -549,11 +550,11 @@ SolveTicket SolveService::submit(SolveRequest request) {
     job->outcome.fingerprint = fp;
   }
   if (use_cache) {
-    const ResultCache::Probe probe = impl_->cache->probe(job->cache_key, job);
+    ResultCache::Probe probe = impl_->cache->probe(job->cache_key, job);
     if (probe.status == ResultCache::ProbeStatus::kHit) {
       {
         std::lock_guard<std::mutex> lock(job->mu);
-        job->resolve_cached_locked(probe.outcome);
+        job->resolve_cached_locked(std::move(probe.outcome));
       }
       telemetry.cache_hit_latency_ms.observe(job->outcome.queue_ms);
       completed_.fetch_add(1, std::memory_order_relaxed);
@@ -638,7 +639,9 @@ SolveOutcome SolveService::solve(SolveRequest request) {
 }
 
 std::uint64_t SolveService::fingerprint(const SolveRequest& request) const {
-  Fnv1a f;
+  // Linear in a prebuilt instance's bytes: a traced cache hit shows it here.
+  const trace::Span span("fingerprint", "service");
+  KeyHash f;
   f.mix(static_cast<int>(request.source_));
   switch (request.source_) {
     case SolveRequest::Source::kInstance:

@@ -24,6 +24,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/scenarios.hpp"
+#include "src/service/solve_service.hpp"
 
 namespace qplec {
 namespace {
@@ -178,6 +179,29 @@ TEST(ObsTrace, SessionsAreIndependentAndInstantsAreMarked) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].dur_us, 5);
   EXPECT_LT(events[1].dur_us, 0);  // instant marker
+}
+
+// A traced cache hit explains its time: the request key it paid for shows
+// up as a `fingerprint` span of the service category.
+TEST(ObsTrace, CachedRepeatEmitsTheFingerprintSpan) {
+  const Scenario scenario{GraphFamily::kComplete, 12, ListFlavor::kTwoDelta,
+                          PolicyKind::kPractical, 42, 0};
+  SolveService service(ExecConfig{.workers = 1});
+  ASSERT_EQ(service.solve(SolveRequest::from_scenario(scenario)).status, SolveStatus::kOk);
+
+  trace::start(256);
+  const SolveOutcome cached = service.solve(SolveRequest::from_scenario(scenario));
+  trace::stop();
+  ASSERT_TRUE(cached.cache_hit);
+  int spans = 0;
+  for (const trace::TraceEvent& ev : trace::snapshot_events()) {
+    if (std::string(ev.name) == "fingerprint") {
+      EXPECT_EQ(std::string(ev.cat), "service");
+      EXPECT_GE(ev.dur_us, 0);
+      ++spans;
+    }
+  }
+  EXPECT_EQ(spans, 1);
 }
 
 // ------------------------------------------- determinism of the registry ---

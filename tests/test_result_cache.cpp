@@ -16,14 +16,19 @@
 #include <gtest/gtest.h>
 
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/graph/builder.hpp"
 #include "src/graph/generators.hpp"
 #include "src/runtime/batch_solver.hpp"  // hash_coloring
 #include "src/service/solve_service.hpp"
@@ -89,6 +94,143 @@ SolveOutcome make_ok_outcome(int tag, std::size_t colors = 8) {
 }
 
 // --------------------------------------------------- ResultCache unit tier ---
+
+// A cycle on `nodes` nodes whose edge e carries the `size` colors
+// {100e, 100e + 2, ...}: lists are disjoint, increasing across edges and
+// leave odd gaps, so tests can bump one color (c -> c + 1) or move a color
+// between neighboring lists and still hold strictly increasing lists.
+ListEdgeColoringInstance make_key_instance(int nodes = 8, int size = 40) {
+  ListEdgeColoringInstance instance;
+  instance.graph = make_cycle(nodes);
+  for (EdgeId e = 0; e < instance.graph.num_edges(); ++e) {
+    std::vector<Color> colors;
+    for (int k = 0; k < size; ++k) colors.push_back(100 * e + 2 * k);
+    instance.lists.emplace_back(std::move(colors));
+  }
+  instance.palette_size = 100 * instance.graph.num_edges();
+  return instance;
+}
+
+/// `instance` with list e's color at position k bumped by one.
+ListEdgeColoringInstance with_color_bumped(ListEdgeColoringInstance instance, EdgeId e, int k) {
+  std::vector<Color> colors = instance.lists[static_cast<std::size_t>(e)].colors();
+  ++colors[static_cast<std::size_t>(k)];
+  instance.lists[static_cast<std::size_t>(e)] = ColorList(std::move(colors));
+  return instance;
+}
+
+/// `instance` with the same lists over a rebuilt graph: one endpoint of
+/// edge `moved` re-pointed at `new_v`, or one LOCAL id (or the id bound)
+/// changed.
+ListEdgeColoringInstance with_graph(ListEdgeColoringInstance instance, EdgeId moved, NodeId new_v,
+                                    NodeId id_node, std::uint64_t id_bound_extra) {
+  const Graph& g = instance.graph;
+  GraphBuilder builder(g.num_nodes());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const EdgeEndpoints& ep = g.endpoints(e);
+    builder.add_edge(ep.u, e == moved ? new_v : ep.v);
+  }
+  std::vector<std::uint64_t> ids(g.all_local_ids().begin(), g.all_local_ids().end());
+  std::uint64_t bound = g.max_local_id() + id_bound_extra;
+  if (id_node >= 0) {
+    ids[static_cast<std::size_t>(id_node)] = bound + 1;
+    bound += 1;
+  }
+  builder.set_local_ids(std::move(ids), bound);
+  instance.graph = builder.build();
+  return instance;
+}
+
+TEST(ResultCacheUnit, AnySingleElementChangesTheInstanceKey) {
+  const ListEdgeColoringInstance base = make_key_instance();
+  const int last_list = base.graph.num_edges() - 1;
+  const int last_pos = base.lists[0].size() - 1;
+  std::set<std::uint64_t> keys{fingerprint_instance(base)};
+  int variants = 0;
+  const auto expect_new_key = [&](const ListEdgeColoringInstance& variant, const char* what,
+                                  int a, int b) {
+    ++variants;
+    EXPECT_TRUE(keys.insert(fingerprint_instance(variant)).second)
+        << what << " (" << a << ", " << b << ") did not change the key";
+  };
+  // One color, in the first and last list, at the lane and word boundaries
+  // of a 160-byte list (positions 0/7/8/31/32/last).
+  for (const EdgeId e : {0, last_list}) {
+    for (const int k : {0, 7, 8, 31, 32, last_pos}) {
+      expect_new_key(with_color_bumped(base, e, k), "color", e, k);
+    }
+  }
+  // One endpoint (edge 3 = {2, 3} re-pointed at node 5: still simple).
+  ASSERT_EQ(base.graph.endpoints(3), (EdgeEndpoints{2, 3}));
+  expect_new_key(with_graph(base, 3, 5, -1, 0), "endpoint", 3, 5);
+  // One local id, and the id-space bound alone.
+  expect_new_key(with_graph(base, -1, 0, 5, 0), "local id", 5, 0);
+  expect_new_key(with_graph(base, -1, 0, -1, 1), "id bound", 0, 1);
+  // The palette size.
+  ListEdgeColoringInstance wider = base;
+  ++wider.palette_size;
+  expect_new_key(wider, "palette_size", wider.palette_size, 0);
+  EXPECT_EQ(keys.size(), static_cast<std::size_t>(variants) + 1);
+  // The rebuild helper itself changes nothing when asked to change nothing.
+  EXPECT_EQ(fingerprint_instance(with_graph(base, -1, 0, -1, 0)), fingerprint_instance(base));
+}
+
+TEST(ResultCacheUnit, InstanceKeySeesListBoundariesAndOrder) {
+  const ListEdgeColoringInstance base = make_key_instance();
+  const std::uint64_t key = fingerprint_instance(base);
+
+  // Move list 2's last color to the front of list 3: the concatenated color
+  // bytes are unchanged, only the two sizes differ.
+  ListEdgeColoringInstance moved = base;
+  std::vector<Color> left = moved.lists[2].colors();
+  std::vector<Color> right = moved.lists[3].colors();
+  right.insert(right.begin(), left.back());
+  left.pop_back();
+  moved.lists[2] = ColorList(std::move(left));
+  moved.lists[3] = ColorList(std::move(right));
+  EXPECT_NE(fingerprint_instance(moved), key);
+
+  // Swap two equal-size lists: the same multiset of lists, permuted.
+  ListEdgeColoringInstance swapped = base;
+  std::swap(swapped.lists[1], swapped.lists[6]);
+  EXPECT_NE(fingerprint_instance(swapped), key);
+
+  // A deep copy keys equal: the key reads values, never addresses.
+  const ListEdgeColoringInstance copy = base;
+  EXPECT_EQ(fingerprint_instance(copy), key);
+  EXPECT_EQ(fingerprint_instance(make_key_instance()), key);
+}
+
+TEST(ResultCacheUnit, MixBytesIsIndependentOfSourceAlignment) {
+  // Loads go through memcpy, so the same bytes at any source offset hash
+  // equal; every length in 0..100 (through the 32-byte block path, the word
+  // path and the zero-padded tail) hashes distinct from the others, even
+  // when the extra bytes are zero, and its last byte reaches the hash.
+  for (const unsigned char fill : {0x00, 0xA5}) {
+    std::vector<unsigned char> bytes(100);
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = fill == 0 ? static_cast<unsigned char>(i % 3 == 0 ? 0 : i) : fill;
+    }
+    std::set<std::uint64_t> by_length;
+    for (std::size_t n = 0; n <= bytes.size(); ++n) {
+      const std::uint64_t aligned = KeyHash{}.mix_bytes(bytes.data(), n).h;
+      by_length.insert(aligned);
+      if (n > 0) {
+        std::vector<unsigned char> flipped(bytes.begin(), bytes.begin() + static_cast<long>(n));
+        flipped.back() ^= 0x01;
+        EXPECT_NE(KeyHash{}.mix_bytes(flipped.data(), n).h, aligned) << "length " << n;
+      }
+      for (std::size_t offset = 1; offset < 8; ++offset) {
+        std::vector<unsigned char> buffer(bytes.size() + 8, 0xEE);
+        std::memcpy(buffer.data() + offset, bytes.data(), bytes.size());
+        EXPECT_EQ(KeyHash{}.mix_bytes(buffer.data() + offset, n).h, aligned)
+            << "length " << n << " offset " << offset;
+      }
+    }
+    EXPECT_EQ(by_length.size(), bytes.size() + 1);
+  }
+}
+
 
 TEST(ResultCacheUnit, MissLeaseCompletePopulateHitRoundTrip) {
   ResultCache cache(4, 1 << 20);
@@ -244,6 +386,23 @@ TEST(ResultCacheService, RepeatedIdenticalSubmitServedBitIdentically) {
   EXPECT_EQ(cached.result.round_report, reference.round_report);
   EXPECT_TRUE(cached.valid);
   EXPECT_EQ(cached.label, fresh.label);
+}
+
+TEST(ResultCacheService, RepeatedHitsKeepTheStoredColors) {
+  // A hit moves its private copy into the ticket; the cache entry itself
+  // must keep its colors for every later hit.
+  SolveService service(ExecConfig{.workers = 1});
+  const SolveOutcome fresh = service.solve(SolveRequest::from_scenario(kScenarioA));
+  ASSERT_EQ(fresh.status, SolveStatus::kOk) << fresh.error;
+  ASSERT_FALSE(fresh.result.colors.empty());
+  for (int hit = 0; hit < 3; ++hit) {
+    const SolveOutcome cached = service.solve(SolveRequest::from_scenario(kScenarioA));
+    ASSERT_EQ(cached.status, SolveStatus::kOk) << cached.error;
+    EXPECT_TRUE(cached.cache_hit) << "hit " << hit;
+    EXPECT_EQ(cached.result.colors, fresh.result.colors) << "hit " << hit;
+    EXPECT_EQ(cached.colors_hash, fresh.colors_hash) << "hit " << hit;
+    EXPECT_EQ(hash_coloring(cached.result.colors), fresh.colors_hash) << "hit " << hit;
+  }
 }
 
 TEST(ResultCacheService, CachedVsFreshDifferentialAcrossShards) {

@@ -1,28 +1,32 @@
 #!/usr/bin/env python3
 """Paired before/after runs of the repo benchmark (perfbench).
 
-    python3 tools/bench_pairs.py --parent REV --workload W --pairs N --out FILE
+    python3 tools/bench_pairs.py --parent REV --workload W[,W...] --pairs N --out FILE
                                  [--seed S] [--seconds T] [--trace 0|1]
                                  [--work-dir DIR]
 
 Extracts commit REV into a temporary directory (`git archive`, so nothing is
-registered in the repository's .git) and runs the unchanged
-`perfbench/run.py` of each side -- REV's tree and this working tree -- N
-times, alternating which side runs first.  Each side builds into its own
-CARGO_TARGET_DIR under the work directory, so neither build sees the other's
-objects.  The first run of a side also builds its runner; the runner is timed
-only after its build finishes.
+registered in the repository's .git) and, for each listed workload in turn,
+runs the unchanged `perfbench/run.py` of each side -- REV's tree and this
+working tree -- N times, alternating which side runs first.  Each side builds
+into its own CARGO_TARGET_DIR under the work directory, so neither build sees
+the other's objects.  The first run of a side also builds its runner; the
+runner is timed only after its build finishes.
 
-Prints, per metric: each side's median and quartiles over its runs, the
-number of pairs the change won (ties count for neither; direction from
-BENCHMARK.json), whether the medians differ by more than the parent's
+Prints, per workload and metric: each side's median and quartiles over its
+runs, the number of pairs the change won (ties count for neither; direction
+from BENCHMARK.json), whether the medians differ by more than the parent's
 interquartile range, and each side's failed/attempted request counts.  FILE
-receives the same summary plus every run's raw result line as JSON.
+receives the same summary under `workloads` (one report per workload, with
+every run's raw result line), plus a `regressions` list: each end-to-end
+metric whose change median is worse than the parent's median by more than
+that metric's BENCHMARK.json `bound` (a fraction of the parent's median).
 
 The claim rule it reports (`claim_holds`) is the paired protocol of
 docs/BENCHMARKS.md: the change wins at least nine tenths of the pairs and its
 median beats the parent's by more than the parent's interquartile range.
-Exits 1 if any run failed to produce a result line.
+Exits 1 if any run failed to produce a result line, else 2 if `regressions`
+is not empty.
 """
 
 import argparse
@@ -52,10 +56,10 @@ def extract(rev, dest):
         raise SystemExit(f"bench_pairs: git archive {rev} failed")
 
 
-def run_side(tree, target_dir, args):
+def run_side(tree, target_dir, workload, args):
     """One perfbench/run.py call in tree; returns its result line or None."""
     env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", args.trace]
     proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
@@ -66,11 +70,13 @@ def run_side(tree, target_dir, args):
     return json.loads(lines[-1])
 
 
-def directions():
-    """Metric name -> 'lower' or 'higher', from BENCHMARK.json."""
+def benchmark_spec():
+    """BENCHMARK.json: (metric name -> 'lower'/'higher', end-to-end name -> bound)."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    return better, bounds
 
 
 def quartiles(values):
@@ -110,57 +116,28 @@ def summarize(pairs, better):
     return out
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="commit to compare against")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--out", required=True, help="JSON summary file")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--trace", choices=["0", "1"], default="0")
-    ap.add_argument("--work-dir", help="keeps both builds here (default: a temp dir)")
-    args = ap.parse_args()
-    if args.pairs < 1:
-        ap.error("--pairs must be >= 1")
+def regressions(workload, metrics, bounds):
+    """End-to-end rows whose change median is worse than the parent's by more
+    than the metric's bound (relative to the parent's median)."""
+    out = []
+    for name, bound in bounds.items():
+        row = metrics.get(name)
+        if row is None or row["better"] not in ("lower", "higher"):
+            continue
+        pmed, cmed = row["parent"]["median"], row["change"]["median"]
+        worse = cmed - pmed if row["better"] == "lower" else pmed - cmed
+        if worse > bound * abs(pmed):
+            out.append({"workload": workload, "metric": name, "parent_median": pmed,
+                        "change_median": cmed, "bound": bound,
+                        "relative_change": (cmed - pmed) / pmed if pmed else None})
+    return out
 
-    rev = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", args.parent + "^{commit}"],
-                         check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
-    work = os.path.abspath(args.work_dir) if args.work_dir else tempfile.mkdtemp(
-        prefix="bench_pairs-")
-    try:
-        parent_tree = os.path.join(work, "parent-" + rev[:12])
-        if not os.path.isdir(parent_tree):
-            extract(rev, parent_tree)
-        sides = {"parent": (parent_tree, os.path.join(work, "target-parent")),
-                 "change": (ROOT, os.path.join(work, "target-change"))}
-        pairs = []
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"first": order[0]}
-            for side in order:
-                pair[side] = run_side(*sides[side], args)
-            pairs.append(pair)
-            log(f"pair {i + 1}/{args.pairs} done ({order[0]} first)")
-    finally:
-        if not args.work_dir:
-            shutil.rmtree(work, ignore_errors=True)
 
-    counts = {side: {"failed": sum(p[side]["failed"] for p in pairs if p[side]),
-                     "attempted": sum(p[side]["attempted"] for p in pairs if p[side]),
-                     "runs_without_result": sum(1 for p in pairs if not p[side])}
-              for side in ("parent", "change")}
-    report = {"parent": rev, "workload": args.workload, "seed": args.seed,
-              "seconds": args.seconds, "trace": int(args.trace), "pairs": args.pairs,
-              "requests": counts, "metrics": summarize(pairs, directions()), "runs": pairs}
-    with open(args.out, "w") as f:
-        json.dump(report, f, indent=1)
-        f.write("\n")
-
-    print(f"{args.workload}: {args.pairs} pairs vs {rev[:12]}, seed {args.seed}, "
-          f"{args.seconds:g} s, trace {args.trace}")
+def print_report(report, args):
+    print(f"{report['workload']}: {args.pairs} pairs vs {report['parent'][:12]}, "
+          f"seed {args.seed}, {args.seconds:g} s, trace {args.trace}")
     for side in ("parent", "change"):
-        c = counts[side]
+        c = report["requests"][side]
         print(f"  {side}: {c['failed']}/{c['attempted']} requests failed, "
               f"{c['runs_without_result']} runs without a result")
     print(f"  {'metric':<28} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34}"
@@ -171,7 +148,78 @@ def main():
         claim = {True: "holds", False: "no"}.get(row.get("claim_holds"), "-")
         print(f"  {name:<28} {cell(row['parent']):>34} {cell(row['change']):>34}"
               f" {wins:>6} {claim}")
-    return 1 if any(c["runs_without_result"] for c in counts.values()) else 0
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="commit to compare against")
+    ap.add_argument("--workload", required=True, help="one workload or a comma-separated list")
+    ap.add_argument("--pairs", type=int, required=True, help="pairs per workload")
+    ap.add_argument("--out", required=True, help="JSON summary file")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--trace", choices=["0", "1"], default="0")
+    ap.add_argument("--work-dir", help="keeps both builds here (default: a temp dir)")
+    args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+    workloads = [w for w in args.workload.split(",") if w]
+    if not workloads or len(set(workloads)) != len(workloads):
+        ap.error("--workload must name each workload once")
+
+    rev = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", args.parent + "^{commit}"],
+                         check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
+    work = os.path.abspath(args.work_dir) if args.work_dir else tempfile.mkdtemp(
+        prefix="bench_pairs-")
+    runs = {}
+    try:
+        parent_tree = os.path.join(work, "parent-" + rev[:12])
+        if not os.path.isdir(parent_tree):
+            extract(rev, parent_tree)
+        sides = {"parent": (parent_tree, os.path.join(work, "target-parent")),
+                 "change": (ROOT, os.path.join(work, "target-change"))}
+        for workload in workloads:
+            pairs = runs[workload] = []
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = run_side(*sides[side], workload, args)
+                pairs.append(pair)
+                log(f"{workload}: pair {i + 1}/{args.pairs} done ({order[0]} first)")
+    finally:
+        if not args.work_dir:
+            shutil.rmtree(work, ignore_errors=True)
+
+    better, bounds = benchmark_spec()
+    reports = {}
+    for workload, pairs in runs.items():
+        counts = {side: {"failed": sum(p[side]["failed"] for p in pairs if p[side]),
+                         "attempted": sum(p[side]["attempted"] for p in pairs if p[side]),
+                         "runs_without_result": sum(1 for p in pairs if not p[side])}
+                  for side in ("parent", "change")}
+        reports[workload] = {"parent": rev, "workload": workload, "seed": args.seed,
+                             "seconds": args.seconds, "trace": int(args.trace),
+                             "pairs": args.pairs, "requests": counts,
+                             "metrics": summarize(pairs, better), "runs": pairs}
+    found = [r for w, rep in reports.items() for r in regressions(w, rep["metrics"], bounds)]
+    summary = {"parent": rev, "seed": args.seed, "seconds": args.seconds,
+               "trace": int(args.trace), "pairs": args.pairs, "workloads": reports,
+               "regressions": found}
+    with open(args.out, "w") as f:
+        json.dump(summary, f, indent=1)
+        f.write("\n")
+
+    for report in reports.values():
+        print_report(report, args)
+    print(f"regressions beyond BENCHMARK.json bounds: {len(found)}")
+    for r in found:
+        print(f"  {r['workload']} {r['metric']}: {r['parent_median']:.6g} -> "
+              f"{r['change_median']:.6g} (bound {r['bound']:g})")
+    if any(rep["requests"][side]["runs_without_result"]
+           for rep in reports.values() for side in ("parent", "change")):
+        return 1
+    return 2 if found else 0
 
 
 if __name__ == "__main__":
