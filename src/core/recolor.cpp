@@ -1,8 +1,10 @@
 #include "src/core/recolor.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <unordered_set>
 #include <vector>
 
 #include "src/coloring/conflict.hpp"
@@ -47,7 +49,9 @@ ColorList pad_list(const ColorList& list, int needed, Color palette) {
 }  // namespace
 
 void validate_deltas(const Graph& base, const std::vector<EdgeDelta>& ops) {
-  std::vector<EdgeEndpoints> seen;
+  // Canonical pairs seen so far, packed (u << 32 | v): one hash probe per op
+  // keeps the check linear in the batch, with the same first error.
+  std::unordered_set<std::uint64_t> seen;
   seen.reserve(ops.size());
   for (const EdgeDelta& op : ops) {
     if (op.u < 0 || op.u >= base.num_nodes() || op.v < 0 || op.v >= base.num_nodes()) {
@@ -56,11 +60,12 @@ void validate_deltas(const Graph& base, const std::vector<EdgeDelta>& ops) {
     }
     if (op.u == op.v) reject("self-loop at node " + std::to_string(op.u));
     const EdgeEndpoints pair = canonical(op.u, op.v);
-    if (std::find(seen.begin(), seen.end(), pair) != seen.end()) {
+    const std::uint64_t packed = (static_cast<std::uint64_t>(pair.u) << 32) |
+                                 static_cast<std::uint64_t>(pair.v);
+    if (!seen.insert(packed).second) {
       reject("duplicate op on edge {" + std::to_string(pair.u) + ", " + std::to_string(pair.v) +
              "}");
     }
-    seen.push_back(pair);
     const EdgeId existing = base.find_edge(pair.u, pair.v);
     if (op.insert && existing != kInvalidEdge) {
       reject("insert of existing edge {" + std::to_string(pair.u) + ", " +

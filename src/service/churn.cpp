@@ -110,12 +110,12 @@ ChurnBatch make_random_churn(const Graph& g, int inserts, int removes, std::uint
 
 std::size_t estimate_snapshot_bytes(const ChurnSnapshot& snapshot) {
   std::size_t bytes = sizeof(ChurnSnapshot);
-  const Graph& g = snapshot.instance.graph;
+  const Graph& g = snapshot.instance->graph;
   bytes += static_cast<std::size_t>(g.num_edges()) *
            (sizeof(EdgeEndpoints) + 2 * sizeof(Incidence));
   bytes += static_cast<std::size_t>(g.num_nodes() + 1) *
            (sizeof(std::size_t) + sizeof(std::uint64_t));
-  for (const ColorList& list : snapshot.instance.lists) {
+  for (const ColorList& list : snapshot.instance->lists) {
     bytes += sizeof(ColorList) + static_cast<std::size_t>(list.size()) * sizeof(Color);
   }
   bytes += snapshot.colors.size() * sizeof(Color);

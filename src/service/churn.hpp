@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,9 +48,10 @@ struct ChurnBatch {
 /// it: the exact instance that was solved, the colors it produced, and the
 /// policy that produced them (an update repairs under the base's policy —
 /// mixing policies across a repair would make the fallback path diverge
-/// from the repair path).
+/// from the repair path).  The instance is shared and immutable: for an
+/// instance source it is the request's own copy, never a second one.
 struct ChurnSnapshot {
-  ListEdgeColoringInstance instance;
+  std::shared_ptr<const ListEdgeColoringInstance> instance;
   EdgeColoring colors;
   Policy policy;
 };

@@ -161,11 +161,47 @@ const char* status_name(SolveStatus status) {
 
 // ----------------------------------------------------------- SolveRequest ---
 
+struct SolveRequest::SharedInstance {
+  explicit SharedInstance(ListEdgeColoringInstance source) : instance(std::move(source)) {}
+
+  const ListEdgeColoringInstance instance;
+
+  /// fingerprint_instance(instance), hashed by the first caller only; the
+  /// "instance-key" span marks that one pass.  Nothing can mutate
+  /// `instance`, so the stored key never goes stale.
+  std::uint64_t key() const {
+    std::call_once(key_once_, [this] {
+      const trace::Span span("instance-key", "service");
+      key_ = fingerprint_instance(instance);
+    });
+    return key_;
+  }
+
+ private:
+  mutable std::once_flag key_once_;
+  mutable std::uint64_t key_ = 0;
+};
+
 SolveRequest SolveRequest::from_instance(ListEdgeColoringInstance instance) {
   SolveRequest r;
   r.source_ = Source::kInstance;
-  r.instance_ = std::move(instance);
+  r.instance_ = std::make_shared<const SharedInstance>(std::move(instance));
   return r;
+}
+
+std::shared_ptr<const ListEdgeColoringInstance> SolveRequest::instance() const {
+  if (instance_ == nullptr) return std::make_shared<const ListEdgeColoringInstance>();
+  return {instance_, &instance_->instance};
+}
+
+std::uint64_t SolveRequest::instance_key() const {
+  return instance_ != nullptr ? instance_->key() : fingerprint_instance(ListEdgeColoringInstance{});
+}
+
+void SolveRequest::drop_payload() {
+  instance_.reset();
+  churn_base_.reset();
+  churn_ops_ = ChurnBatch{};
 }
 
 SolveRequest SolveRequest::from_scenario(const Scenario& scenario) {
@@ -240,7 +276,8 @@ SolveRequest& SolveRequest::no_cache() {
 
 /// Shared job state: the request while pending, the outcome once done.  The
 /// ticket and the service both hold shared_ptrs, so either side may outlive
-/// the other.
+/// the other.  Every terminal path drops the request's payload (instance
+/// holder, churn base), so a kept ticket pins only its outcome.
 struct SolveTicket::Job {
   SolveRequest request;
   std::string label;  ///< copy of request.label_ for queue-side resolution
@@ -275,6 +312,7 @@ struct SolveTicket::Job {
   /// are accounted exactly like a worker-claimed job's — no exit path skips
   /// a field.
   void resolve_queued_locked(SolveStatus status, const char* error_msg) {
+    request.drop_payload();
     outcome.status = status;
     outcome.error = error_msg;
     outcome.label = label;
@@ -291,6 +329,7 @@ struct SolveTicket::Job {
   /// probe hit moves its private copy in, a lease waiter passes a copy of
   /// the leader's.
   void resolve_cached_locked(SolveOutcome cached) {
+    request.drop_payload();
     cached.label = label;
     cached.error.clear();
     cached.cache_hit = true;
@@ -639,13 +678,14 @@ SolveOutcome SolveService::solve(SolveRequest request) {
 }
 
 std::uint64_t SolveService::fingerprint(const SolveRequest& request) const {
-  // Linear in a prebuilt instance's bytes: a traced cache hit shows it here.
+  // A prebuilt instance is hashed once per shared holder (the nested
+  // "instance-key" span); every later key of a copy reads it back.
   const trace::Span span("fingerprint", "service");
   KeyHash f;
   f.mix(static_cast<int>(request.source_));
   switch (request.source_) {
     case SolveRequest::Source::kInstance:
-      f.mix(fingerprint_instance(request.instance_));
+      f.mix(request.instance_key());
       break;
     case SolveRequest::Source::kScenario:
       // build_instance is a pure function of the scenario fields, so the
@@ -747,6 +787,7 @@ void SolveService::worker_loop() {
     impl_->inflight.fetch_add(1, std::memory_order_relaxed);
     job->outcome.queue_ms = account_dequeue(job->submit_time);
     run_job(*job);
+    job->request.drop_payload();
     impl_->inflight.fetch_sub(1, std::memory_order_relaxed);
     account_terminal(job->outcome.status);
     if (job->outcome.solve_ms > 0.0) note_solve_ms(impl_->ewma_solve_ms, job->outcome.solve_ms);
@@ -889,16 +930,18 @@ void SolveService::run_job(SolveTicket::Job& job) const {
   }
 
   // Build the instance from whichever source the request named.  Malformed
-  // input of any kind is an InvalidInstance outcome, never a throw.
-  ListEdgeColoringInstance instance;
+  // input of any kind is an InvalidInstance outcome, never a throw.  An
+  // instance source is solved in place: the request's holder is shared, not
+  // copied.
+  std::shared_ptr<const ListEdgeColoringInstance> built;
   const auto build_start = Clock::now();
   try {
     switch (req.source_) {
       case SolveRequest::Source::kInstance:
-        instance = std::move(job.request.instance_);
+        built = req.instance();
         break;
       case SolveRequest::Source::kScenario:
-        instance = build_instance(req.scenario_);
+        built = std::make_shared<const ListEdgeColoringInstance>(build_instance(req.scenario_));
         break;
       case SolveRequest::Source::kDimacs: {
         Graph g;
@@ -914,9 +957,10 @@ void SolveService::run_job(SolveTicket::Job& job) const {
           }
         }
         const trace::Span span("lists", "service");
-        instance = req.list_palette_ > 0
-                       ? make_random_list_instance(std::move(g), req.list_palette_, req.list_seed_)
-                       : make_two_delta_instance(std::move(g));
+        built = std::make_shared<const ListEdgeColoringInstance>(
+            req.list_palette_ > 0
+                ? make_random_list_instance(std::move(g), req.list_palette_, req.list_seed_)
+                : make_two_delta_instance(std::move(g)));
         break;
       }
       case SolveRequest::Source::kChurn:
@@ -932,6 +976,7 @@ void SolveService::run_job(SolveTicket::Job& job) const {
     const auto us = static_cast<std::int64_t>(out.build_ms * 1000.0);
     trace::complete("build", "service", trace::now_us() - us, us);
   }
+  const ListEdgeColoringInstance& instance = *built;
   out.num_nodes = instance.graph.num_nodes();
   out.num_edges = instance.graph.num_edges();
   out.max_degree = instance.graph.max_degree();
@@ -955,11 +1000,12 @@ void SolveService::run_job(SolveTicket::Job& job) const {
     out.valid = is_valid_list_coloring(instance, res.colors);
     if (job.snapshot_key != 0) {
       // Retain what update() chains from: the exact instance that was
-      // solved, its colors, and the policy that produced them.
+      // solved (shared, never copied), its colors, and the policy that
+      // produced them.
       auto snap = std::make_shared<ChurnSnapshot>();
       snap->colors = res.colors;
       snap->policy = policy;
-      snap->instance = std::move(instance);
+      snap->instance = built;
       job.snapshot = std::move(snap);
     }
     if (!req.keep_colors_) {
@@ -1020,7 +1066,7 @@ void SolveService::run_churn_job(SolveTicket::Job& job) const {
   RecolorPlan plan;
   const auto build_start = Clock::now();
   try {
-    plan = plan_recolor(base->instance, base->colors, req.churn_ops_.ops);
+    plan = plan_recolor(*base->instance, base->colors, req.churn_ops_.ops);
   } catch (const std::exception& e) {
     out.status = SolveStatus::kInvalidInstance;
     out.error = e.what();
@@ -1054,7 +1100,7 @@ void SolveService::run_churn_job(SolveTicket::Job& job) const {
       auto snap = std::make_shared<ChurnSnapshot>();
       snap->colors = rec.result.colors;
       snap->policy = base->policy;
-      snap->instance = std::move(plan.mutated);
+      snap->instance = std::make_shared<const ListEdgeColoringInstance>(std::move(plan.mutated));
       job.snapshot = std::move(snap);
     }
     out.result = std::move(rec.result);
@@ -1127,7 +1173,7 @@ SolveTicket SolveService::update(std::uint64_t base_fingerprint, ChurnBatch batc
                          "Ok yet, evicted, or invalidated)");
   }
   try {
-    validate_churn(snap->instance, batch);
+    validate_churn(*snap->instance, batch);
   } catch (const std::exception& e) {
     return reject_update(base_fingerprint, e.what());
   }

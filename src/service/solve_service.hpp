@@ -169,7 +169,12 @@ class SolveRequest {
   /// the named factories below for anything real.
   SolveRequest() = default;
 
-  /// A prebuilt instance (moved in — instances can be large).
+  /// A prebuilt instance, moved into an immutable holder that copies of the
+  /// request share (instances can be large: a copy costs one reference).
+  /// The holder computes the instance's cache key once, on first use, so
+  /// resubmitting a copy keys in O(1); a fresh from_instance of equal
+  /// contents keys equal but hashes the instance again.  The caller's
+  /// object is never referenced after the call.
   static SolveRequest from_instance(ListEdgeColoringInstance instance);
   /// A scenario (built on the worker via build_instance, bit-reproducible
   /// from its fields; the scenario's policy kind is used).
@@ -212,11 +217,25 @@ class SolveRequest {
 
  private:
   friend class SolveService;
+  friend class SolveTicket;  // its job state drops the payload on resolution
 
   enum class Source { kInstance, kScenario, kDimacs, kChurn };
 
+  /// An instance source plus its fingerprint_instance key, computed at most
+  /// once.  Immutable and shared by every copy of the request (defined in
+  /// solve_service.cpp).
+  struct SharedInstance;
+
+  /// The instance source (an empty instance when none was given) and its
+  /// key.  The pointer aliases the holder, so it keeps the holder alive.
+  std::shared_ptr<const ListEdgeColoringInstance> instance() const;
+  std::uint64_t instance_key() const;
+  /// Releases the instance holder and churn base once the job carrying
+  /// this request has ended, so a kept ticket pins neither.
+  void drop_payload();
+
   Source source_ = Source::kInstance;
-  ListEdgeColoringInstance instance_;
+  std::shared_ptr<const SharedInstance> instance_;  ///< null: the empty instance
   Scenario scenario_;
   std::string path_;
 

@@ -211,6 +211,70 @@ TEST(Recolor, ValidateDeltasRejectsEveryInconsistency) {
                  ChurnBatch{}.insert(au, av).remove(existing.u, existing.v));
 }
 
+// A 300k-op batch validates in linear time, and the first error it reports
+// follows the per-op order range, self-loop, duplicate, insert-existing,
+// remove-missing, with the earliest bad op winning.  (A duplicate check
+// that scans the ops seen so far makes the valid batch alone ~4.5e10
+// compares.)
+TEST(Recolor, ValidateDeltasIsLinearAndKeepsTheFirstErrorOrder) {
+  constexpr NodeId kNodes = 1000;
+  constexpr std::size_t kOps = 300000;
+  const Graph g = make_cycle(kNodes);
+  // 500 removes of cycle edges {u, u + 1}, then inserts of absent pairs in
+  // (u, v) order, all with reversed endpoints: {0, 2}, {0, 3}, ...  Pairs
+  // with u >= 400 are never touched.
+  std::vector<EdgeDelta> ops;
+  ops.reserve(kOps);
+  for (NodeId u = 0; u < 500; ++u) ops.push_back(EdgeDelta{false, u + 1, u});
+  for (NodeId u = 0; u < kNodes && ops.size() < kOps; ++u) {
+    for (NodeId v = u + 2; v < kNodes && ops.size() < kOps; ++v) {
+      if (g.find_edge(u, v) == kInvalidEdge) ops.push_back(EdgeDelta{true, v, u});
+    }
+  }
+  ASSERT_EQ(ops.size(), kOps);
+  ASSERT_LT(ops.back().v, 400);
+  validate_deltas(g, ops);  // the valid batch passes
+
+  const auto first_error = [&](const std::vector<EdgeDelta>& tail) {
+    std::vector<EdgeDelta> batch = ops;
+    batch.insert(batch.end(), tail.begin(), tail.end());
+    try {
+      validate_deltas(g, batch);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const EdgeDelta out_of_range{true, 0, kNodes};
+  const EdgeDelta self_loop{true, 7, 7};
+  const EdgeDelta dup_insert{true, 0, 2};
+  const EdgeDelta insert_existing{true, 601, 600};
+  const EdgeDelta remove_missing{false, 900, 800};
+  // Ops that break two rules at once: out of range and a self-loop; a
+  // duplicate that also removes a missing edge; a duplicate (of a remove)
+  // that also inserts an existing edge.
+  const EdgeDelta both_out_of_range{true, -1, -1};
+  const EdgeDelta dup_remove_missing{false, 2, 0};
+  const EdgeDelta dup_insert_existing{true, 0, 1};
+
+  // One error of each kind, last in the batch.
+  EXPECT_EQ(first_error({out_of_range}), "churn batch: endpoint out of range in {0, 1000}");
+  EXPECT_EQ(first_error({self_loop}), "churn batch: self-loop at node 7");
+  EXPECT_EQ(first_error({dup_insert}), "churn batch: duplicate op on edge {0, 2}");
+  EXPECT_EQ(first_error({insert_existing}), "churn batch: insert of existing edge {600, 601}");
+  EXPECT_EQ(first_error({remove_missing}), "churn batch: remove of missing edge {800, 900}");
+  // Within one op: range before self-loop, duplicate before existence.
+  EXPECT_EQ(first_error({both_out_of_range}), "churn batch: endpoint out of range in {-1, -1}");
+  EXPECT_EQ(first_error({dup_remove_missing}), "churn batch: duplicate op on edge {0, 2}");
+  EXPECT_EQ(first_error({dup_insert_existing}), "churn batch: duplicate op on edge {0, 1}");
+  // Across ops: the earliest bad op wins, whatever its kind.
+  EXPECT_EQ(first_error({remove_missing, dup_insert}),
+            "churn batch: remove of missing edge {800, 900}");
+  EXPECT_EQ(first_error({dup_insert, out_of_range}), "churn batch: duplicate op on edge {0, 2}");
+  EXPECT_EQ(first_error({insert_existing, self_loop}),
+            "churn batch: insert of existing edge {600, 601}");
+}
+
 // -------------------------------------------------- batch parsing + keys ---
 
 TEST(Churn, ParseChurnStreamFormat) {
@@ -308,6 +372,37 @@ TEST(ServiceChurn, UpdateRepairsAndMatchesDirectRepair) {
   EXPECT_EQ(after.updates, before.updates + 1);
   EXPECT_EQ(after.updates_repaired, before.updates_repaired + 1);
   EXPECT_EQ(after.updates_fallback, before.updates_fallback);
+}
+
+// An instance request's snapshot shares the request's instance: update()
+// still works after the request and its ticket are gone, and matches the
+// same repair through the core API.
+TEST(ServiceChurn, UpdateOnInstanceSourceOutlivesRequestAndTicket) {
+  const Scenario s = service_scenario(13);
+  const ListEdgeColoringInstance instance = build_instance(s);
+  const ChurnBatch batch = service_batch(s, 4321);
+
+  SolveService service(ExecConfig{.workers = 2});
+  std::uint64_t base_fingerprint = 0;
+  {
+    SolveRequest request = SolveRequest::from_instance(instance);
+    const SolveTicket base = service.submit(request);
+    const SolveOutcome& base_out = base.wait();
+    ASSERT_TRUE(base_out.ok()) << base_out.error;
+    base_fingerprint = base_out.fingerprint;
+  }
+  ASSERT_NE(base_fingerprint, 0u);
+
+  const SolveOutcome out = service.update(base_fingerprint, batch).wait();
+  ASSERT_EQ(out.status, SolveStatus::kOk) << out.error;
+  EXPECT_TRUE(out.repaired);
+  EXPECT_TRUE(out.valid);
+
+  const SolveResult direct = Solver(Policy::practical()).solve(instance);
+  const RecolorPlan plan = plan_recolor(instance, direct.colors, batch.ops);
+  const RecolorOutcome rec = repair_recolor(plan, Policy::practical(), ExecConfig{});
+  EXPECT_EQ(out.result.colors, rec.result.colors);
+  EXPECT_EQ(out.colors_hash, hash_coloring(rec.result.colors));
 }
 
 TEST(ServiceChurn, UpdateBitIdenticalAcrossServiceConfigs) {

@@ -204,6 +204,41 @@ TEST(ObsTrace, CachedRepeatEmitsTheFingerprintSpan) {
   EXPECT_EQ(spans, 1);
 }
 
+// A prebuilt instance is hashed once per shared holder: a store plus three
+// hits, each submitting a copy of one request, key four times (four
+// "fingerprint" spans) but hash the instance once (one "instance-key").
+TEST(ObsTrace, InstanceKeyIsHashedOncePerSharedInstance) {
+  const Scenario scenario{GraphFamily::kRegular, 40, ListFlavor::kTwoDelta,
+                          PolicyKind::kPractical, 42, 6};
+  const SolveRequest request = SolveRequest::from_instance(build_instance(scenario));
+  SolveService service(ExecConfig{.workers = 1});
+
+  trace::start(1024);
+  const SolveOutcome stored = service.solve(request);
+  std::vector<SolveOutcome> hits;
+  for (int i = 0; i < 3; ++i) hits.push_back(service.solve(request));
+  trace::stop();
+  ASSERT_TRUE(stored.ok()) << stored.error;
+  EXPECT_FALSE(stored.cache_hit);
+  for (const SolveOutcome& hit : hits) {
+    EXPECT_TRUE(hit.cache_hit);
+    EXPECT_EQ(hit.fingerprint, stored.fingerprint);
+    EXPECT_EQ(hit.colors_hash, stored.colors_hash);
+  }
+  int key_spans = 0;
+  int fingerprint_spans = 0;
+  for (const trace::TraceEvent& ev : trace::snapshot_events()) {
+    const std::string name(ev.name);
+    if (name == "instance-key") {
+      EXPECT_EQ(std::string(ev.cat), "service");
+      ++key_spans;
+    }
+    if (name == "fingerprint") ++fingerprint_spans;
+  }
+  EXPECT_EQ(key_spans, 1);
+  EXPECT_EQ(fingerprint_spans, 4);
+}
+
 // ------------------------------------------- determinism of the registry ---
 
 // The deterministic solver series — solve count, LOCAL rounds, neighbor-

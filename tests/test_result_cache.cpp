@@ -25,6 +25,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -471,6 +472,89 @@ TEST(ResultCacheService, ConcurrentIdenticalSubmitsShareOneSolve) {
   const auto after = service.metrics_snapshot();
   EXPECT_GE(after.cache_lease_joins - before.cache_lease_joins,
             static_cast<std::uint64_t>(kTickets - 1));
+}
+
+// ------------------------------------------------ shared instance sources ---
+
+// The key a request stores for its instance is the one an unshared request
+// would mix: the source tag, fingerprint_instance, the policy, slack,
+// keep-colors and the exec knobs, in that order.  Keys are not persisted,
+// but they must not depend on whether a copy computed them.
+TEST(ResultCacheService, StoredInstanceKeyEqualsTheUnsharedKey) {
+  const ListEdgeColoringInstance instance = make_key_instance();
+  SolveService service(ExecConfig{.workers = 1});
+  for (const double slack : {1.0, 2.0}) {
+    KeyHash expected;
+    expected.mix(0);  // SolveRequest's instance source tag
+    expected.mix(fingerprint_instance(instance));
+    expected.mix(fingerprint_policy(Policy::practical()));
+    expected.mix(slack);
+    expected.mix(true);
+    expected.mix(fingerprint_exec_knobs(service.config()));
+
+    const SolveRequest request = SolveRequest::from_instance(instance).relaxed(slack);
+    const SolveRequest copy = request;
+    EXPECT_EQ(service.fingerprint(copy), expected.h) << "slack " << slack;  // hashes
+    EXPECT_EQ(service.fingerprint(request), expected.h) << "slack " << slack;  // stored
+    EXPECT_EQ(service.fingerprint(SolveRequest::from_instance(instance).relaxed(slack)),
+              expected.h)
+        << "slack " << slack;
+  }
+}
+
+// from_instance takes its own copy: mutating the caller's instance after the
+// call changes neither the request's key nor its answer.
+TEST(ResultCacheService, InstanceRequestIsIsolatedFromTheCaller) {
+  ListEdgeColoringInstance caller = build_instance(kScenarioB);
+  const SolveResult reference = Solver(make_policy(kScenarioB.policy)).solve(caller);
+  SolveService service(ExecConfig{.workers = 1});
+  const SolveRequest request = SolveRequest::from_instance(caller);
+  const std::uint64_t key = service.fingerprint(request);
+
+  caller.lists[0] = ColorList::range(0, caller.palette_size + 5);
+  caller.palette_size += 5;
+  EXPECT_NE(service.fingerprint(SolveRequest::from_instance(caller)), key);
+  EXPECT_EQ(service.fingerprint(request), key);
+
+  const SolveOutcome out = service.solve(request);
+  ASSERT_EQ(out.status, SolveStatus::kOk) << out.error;
+  EXPECT_EQ(out.fingerprint, key);
+  EXPECT_EQ(out.result.colors, reference.colors);
+  EXPECT_EQ(out.result.rounds, reference.rounds);
+}
+
+// Copies submitted from several threads at once share one holder: its key
+// is computed once (std::call_once) and every submit sees the same key and
+// the same answer.
+TEST(ResultCacheService, ConcurrentCopiesShareOneKey) {
+  constexpr int kThreads = 4;
+  constexpr int kSubmits = 25;
+  const SolveRequest request = SolveRequest::from_instance(build_instance(kScenarioC));
+  SolveService service(ExecConfig{.workers = 2});
+  std::vector<std::vector<SolveOutcome>> outcomes(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<SolveTicket> tickets;
+      for (int i = 0; i < kSubmits; ++i) tickets.push_back(service.submit(request));
+      for (const SolveTicket& ticket : tickets) outcomes[t].push_back(ticket.wait());
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  std::set<std::uint64_t> keys;
+  std::set<std::uint64_t> hashes;
+  for (const std::vector<SolveOutcome>& per_thread : outcomes) {
+    ASSERT_EQ(per_thread.size(), static_cast<std::size_t>(kSubmits));
+    for (const SolveOutcome& out : per_thread) {
+      EXPECT_EQ(out.status, SolveStatus::kOk) << out.error;
+      keys.insert(out.fingerprint);
+      hashes.insert(out.colors_hash);
+    }
+  }
+  EXPECT_EQ(keys.size(), 1u);
+  EXPECT_EQ(hashes.size(), 1u);
+  EXPECT_EQ(*keys.begin(), service.fingerprint(request));
 }
 
 TEST(ResultCacheService, CancelledLeaderFailsOverToAFreshSolveForWaiters) {
