@@ -53,6 +53,7 @@
 
 #include "src/coloring/baselines.hpp"
 #include "src/coloring/greedy.hpp"
+#include "src/coloring/initial.hpp"
 #include "src/coloring/validate.hpp"
 #include "src/core/solver.hpp"
 #include "src/graph/io.hpp"
@@ -358,10 +359,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "parse error: %s\n", e.what());
     return json ? fail_json(SolveStatus::kInvalidInstance, e.what()) : 1;
   }
-  g = g.with_scrambled_ids(
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(g.num_nodes()) *
-                                     std::max(1, g.num_nodes())),
-      seed);
+  g = g.with_scrambled_ids(scrambled_id_space(static_cast<std::uint64_t>(g.num_nodes())), seed);
 
   ListEdgeColoringInstance instance =
       list_palette > 0 ? make_random_list_instance(g, list_palette, seed + 1)

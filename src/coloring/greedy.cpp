@@ -25,17 +25,15 @@ void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& l
   }
   const bool check_feasibility = gate == nullptr || gate->due();
 
-  // Bucket active items by class; iterate classes in increasing order.  Only
+  // Bucket active slots by class; iterate classes in increasing order.  Only
   // non-empty classes cost simulation work; the LOCAL round cost of the sweep
   // is the full palette (the synchronous schedule has one slot per class) and
-  // is charged as such.  The gather runs per lane (the gated feasibility
-  // re-derivation included — view.degree(i) is an O(deg) walk the sweep
-  // itself never needs); lanes concatenated in lane order visit items in
-  // ascending id order, and the sort canonicalizes the class order either
-  // way.
-  LaneScratch<std::vector<std::pair<std::uint64_t, int>>> gather(ex.lanes());
-  ex.for_indices(view.num_items(), [&](int lane, int i) {
-    if (!view.active(i)) return;
+  // is charged as such.  Slots ascend with item ids, so the sort orders each
+  // class by id for any lane layout.
+  const int n = view.num_active();
+  std::vector<std::pair<std::uint64_t, int>> by_class(static_cast<std::size_t>(n));
+  ex.for_indices(n, [&](int, int s) {
+    const int i = view.item(s);
     if (check_feasibility) {
       QPLEC_REQUIRE_MSG(lists[static_cast<std::size_t>(i)].size() >= view.degree(i) + 1,
                         "greedy feasibility violated at item "
@@ -46,45 +44,31 @@ void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& l
                       "greedy sweep requires active items uncolored at entry (item " << i
                                                                                     << ")");
     QPLEC_REQUIRE(phi[static_cast<std::size_t>(i)] < palette);
-    gather.lane(lane).emplace_back(phi[static_cast<std::size_t>(i)], i);
+    by_class[static_cast<std::size_t>(s)] = {phi[static_cast<std::size_t>(i)], s};
   });
-  std::vector<std::pair<std::uint64_t, int>> by_class;
-  for (int lane = 0; lane < gather.num_lanes(); ++lane) {
-    by_class.insert(by_class.end(), gather.lane(lane).begin(), gather.lane(lane).end());
-  }
   std::sort(by_class.begin(), by_class.end());
   ledger.charge(static_cast<std::int64_t>(palette), "greedy-sweep");
 
-  // Incremental forbidden-color builds: when an item is colored, its color is
-  // scattered (on the coordinating thread, between rounds) into the
-  // accumulator of every still-uncolored conflict neighbor, so a round never
-  // re-walks neighborhoods against `out` — each item's forbidden set is
-  // complete in its own accumulator by the time its class is swept.  Every
-  // (colored item, neighbor) pair is visited exactly once over the whole
-  // sweep, the same total work one full neighborhood rescan costs.
-  // Accumulators are indexed by the item's by_class SLOT, so the per-call
-  // working set scales with the active items, not the item universe (a base
-  // case on a few edges of a huge graph must not churn O(m) vectors); only
-  // the slot lookup table spans the universe.
-  std::vector<std::int32_t> slot_of(static_cast<std::size_t>(view.num_items()), -1);
-  for (std::size_t t = 0; t < by_class.size(); ++t) {
-    slot_of[static_cast<std::size_t>(by_class[t].second)] = static_cast<std::int32_t>(t);
-  }
-  std::vector<std::vector<Color>> acc(by_class.size());
-  std::vector<std::uint8_t> in_batch(by_class.size(), 0);  // indexed by slot
+  // Pull at pick time: every item of a region gathers the colors its
+  // already-colored conflict neighbors hold.  The items of one region are
+  // pairwise independent, so no neighbor is written while it is read, and
+  // the active items entered uncolored, so the colored neighbors are exactly
+  // the ones earlier regions colored — the per-class schedule's forbidden
+  // sets.
+  LaneScratch<std::vector<Color>> forbidden(ex.lanes());
+  std::vector<std::uint8_t> in_batch(static_cast<std::size_t>(n), 0);  // indexed by slot
 
   // Small-class batching: consecutive classes whose combined size stays
   // below one fan-out quantum run as ONE parallel region when no item of a
-  // joining class conflicts with an item already in the batch.  Batched items
-  // then have complete accumulators and pairwise-independent picks, so the
-  // result is exactly the per-class schedule's — with one round barrier
-  // instead of one per tiny class.  The ledger still charges the synchronous
-  // schedule (one slot per palette class); batching is simulation speed, not
-  // a round-complexity claim.
-  std::vector<std::size_t> batch;  // by_class slots of the current region
+  // joining class conflicts with an item already in the batch.  The result
+  // is exactly the per-class schedule's — with one round barrier instead of
+  // one per tiny class.  The ledger still charges the synchronous schedule
+  // (one slot per palette class); batching is simulation speed, not a
+  // round-complexity claim.
+  std::vector<int> batch;  // slots of the current region
   std::size_t pos = 0;
   while (pos < by_class.size()) {
-    // Between class rounds (the scatter below has fully landed): the one
+    // Between class rounds (the previous region has fully landed): the one
     // spot where a long O(d^2)-round sweep can be cancelled mid-flight.
     solve_checkpoint(control,
                      [&] { return RoundProgress{ledger.total(), ledger.raw_total()}; });
@@ -97,8 +81,8 @@ void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& l
     };
     auto take = [&](std::size_t from, std::size_t to) {
       for (std::size_t t = from; t < to; ++t) {
-        batch.push_back(t);
-        in_batch[t] = 1;
+        batch.push_back(by_class[t].second);
+        in_batch[static_cast<std::size_t>(by_class[t].second)] = 1;
       }
     };
     // The first class joins unconditionally (it must run either way, even if
@@ -116,39 +100,29 @@ void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& l
       }
       bool independent = true;
       for (std::size_t t = pos; t < end && independent; ++t) {
-        view.for_each_neighbor(by_class[t].second, [&](int f) {
-          if (in_batch[static_cast<std::size_t>(slot_of[static_cast<std::size_t>(f)])]) {
-            independent = false;
-          }
-        });
+        for (const int f : view.row(by_class[t].second)) {
+          if (in_batch[static_cast<std::size_t>(f)]) independent = false;
+        }
       }
       if (!independent) break;
       take(pos, end);
       pos = end;
     }
-    // One region colors the whole batch: each item sorts its own accumulator
-    // and picks — item-owned state only, no reads of `out` at all.
-    ex.for_indices(static_cast<int>(batch.size()), [&](int, int t) {
-      const std::size_t slot = batch[static_cast<std::size_t>(t)];
-      const int i = by_class[slot].second;
-      std::vector<Color>& forbidden = acc[slot];
-      std::sort(forbidden.begin(), forbidden.end());
-      const Color c = lists[static_cast<std::size_t>(i)].min_excluding(forbidden);
+    ex.for_indices(static_cast<int>(batch.size()), [&](int lane, int t) {
+      const int s = batch[static_cast<std::size_t>(t)];
+      const int i = view.item(s);
+      std::vector<Color>& used = forbidden.lane(lane);
+      used.clear();
+      for (const int f : view.row(s)) {
+        const Color c = out[static_cast<std::size_t>(view.item(f))];
+        if (c != kUncolored) used.push_back(c);
+      }
+      std::sort(used.begin(), used.end());
+      const Color c = lists[static_cast<std::size_t>(i)].min_excluding(used);
       QPLEC_ASSERT_MSG(c != kUncolored, "greedy sweep ran out of colors at item " << i);
       out[static_cast<std::size_t>(i)] = c;
     });
-    // Delta scatter, ascending (class, id) order — deterministic for any
-    // lane layout; colored neighbors no longer need their accumulators.
-    for (const std::size_t slot : batch) {
-      in_batch[slot] = 0;
-      const int i = by_class[slot].second;
-      view.for_each_neighbor(i, [&](int f) {
-        if (out[static_cast<std::size_t>(f)] == kUncolored) {
-          acc[static_cast<std::size_t>(slot_of[static_cast<std::size_t>(f)])].push_back(
-              out[static_cast<std::size_t>(i)]);
-        }
-      });
-    }
+    for (const int s : batch) in_batch[static_cast<std::size_t>(s)] = 0;
   }
 }
 

@@ -37,10 +37,10 @@ namespace qplec {
 /// The items of one class are pairwise non-conflicting (phi is proper), so
 /// each class round is an item-owned parallel step: with a non-null `exec`
 /// the round fans out over the backend's lanes, and the result is
-/// bit-identical to the serial sweep.  Forbidden-color sets are built
-/// incrementally — a newly colored item's color is scattered once to each
-/// uncolored neighbor's accumulator between rounds — and consecutive small
-/// classes batch into one region when independent.
+/// bit-identical to the serial sweep.  Each item pulls its forbidden colors
+/// from its already-colored neighbors' entries in the view's rows at pick
+/// time, and consecutive small classes batch into one region when
+/// independent.
 ///
 /// `batch_quantum` is the fan-out quantum of that batching: consecutive
 /// classes whose combined item count stays below it run as one parallel
@@ -55,7 +55,7 @@ namespace qplec {
 /// bounded by one class region, not the whole O(d^2)-round sweep.
 ///
 /// `gate` (optional) tiers the demotable validation work — the entry
-/// properness walk of phi and the O(deg)-per-item feasibility re-derivation
+/// properness walk of phi and the per-item feasibility re-derivation
 /// in the gather pass; null keeps the seed's always-validate behavior.
 /// Gated checks feed nothing the sweep computes, so the output is identical
 /// at any tier.

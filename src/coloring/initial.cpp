@@ -7,11 +7,15 @@
 
 namespace qplec {
 
+std::uint64_t scrambled_id_space(std::uint64_t num_nodes) {
+  const std::uint64_t n = std::max<std::uint64_t>(1, num_nodes);
+  return std::min(saturating_mul(n, n), kMaxInitialId);
+}
+
 InitialColoring initial_edge_coloring_from_ids(const Graph& g) {
   const std::uint64_t X = g.max_local_id();
+  QPLEC_REQUIRE_MSG(X <= kMaxInitialId, "id space too large for 64-bit initial palette");
   const std::uint64_t base = X + 1;
-  QPLEC_REQUIRE_MSG(saturating_mul(base, base) != UINT64_MAX || base < (1ull << 32),
-                    "id space too large for 64-bit initial palette");
   InitialColoring out;
   out.palette = base * base;
   out.colors.resize(static_cast<std::size_t>(g.num_edges()));

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <optional>
+#include <span>
 
 #include "src/common/assert.hpp"
 #include "src/common/field.hpp"
@@ -14,72 +14,25 @@ namespace qplec {
 
 namespace {
 
-/// Per-reduce memo of everything linial_reduce's iterations recompute
-/// identically: the active set, each active item's row slot, and its
-/// neighbor row.  The up-to-64 steps of one reduce run over a FIXED active
-/// set in a fixed enumeration order, so the for_each_neighbor walks — a
-/// std::function-indirected scan over the FULL incident lists, filtering by
-/// subset membership — are paid once here and replayed as flat CSR rows of
-/// neighbor slots by every step.
-struct LinialMemo {
-  std::vector<int> slot;              ///< item -> row slot (-1 inactive)
-  std::vector<std::int64_t> offsets;  ///< item -> row bounds in nbr_slots
-  std::vector<int> nbr_slots;         ///< neighbor slots, enumeration order
-  int slots = 0;                      ///< number of active items
-};
-
-LinialMemo build_linial_memo(const ConflictView& view, const ExecBackend& ex) {
-  const trace::Span span("linial-memo", "engine");
-  LinialMemo memo;
-  const int n = view.num_items();
-  memo.slot.assign(static_cast<std::size_t>(n), -1);
-  for (int i = 0; i < n; ++i) {
-    if (view.active(i)) memo.slot[static_cast<std::size_t>(i)] = memo.slots++;
-  }
-  // Degree pass, serial prefix sum, fill pass: each item writes only its own
-  // count/row, so the rows are identical for any backend and lane count.
-  memo.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  ex.for_indices(n, [&](int, int i) {
-    if (memo.slot[static_cast<std::size_t>(i)] < 0) return;
-    std::int64_t d = 0;
-    view.for_each_neighbor(i, [&](int) { ++d; });
-    memo.offsets[static_cast<std::size_t>(i) + 1] = d;
-  });
-  for (int i = 0; i < n; ++i) {
-    memo.offsets[static_cast<std::size_t>(i) + 1] += memo.offsets[static_cast<std::size_t>(i)];
-  }
-  memo.nbr_slots.resize(static_cast<std::size_t>(memo.offsets[static_cast<std::size_t>(n)]));
-  ex.for_indices(n, [&](int, int i) {
-    if (memo.slot[static_cast<std::size_t>(i)] < 0) return;
-    std::int64_t pos = memo.offsets[static_cast<std::size_t>(i)];
-    view.for_each_neighbor(i, [&](int f) {
-      memo.nbr_slots[static_cast<std::size_t>(pos++)] = memo.slot[static_cast<std::size_t>(f)];
-    });
-  });
-  return memo;
-}
-
-/// One reduction step over the memo's rows.  No per-item allocation and no
+/// One reduction step over the view's rows.  No per-item allocation and no
 /// division in the scan: each active item's color becomes k+1 base-q digits
-/// in one flat row table, each candidate point's powers are computed once
+/// in one flat slot table, each candidate point's powers are computed once
 /// per item, and every evaluation is a dot product plus one reciprocal
 /// reduction (FlatPolyEval).
-std::vector<std::uint64_t> linial_step_impl(const std::vector<std::uint64_t>& colors,
-                                            LinialParams params, const ExecBackend& ex,
-                                            const LinialMemo& memo) {
+std::vector<std::uint64_t> linial_step_impl(const ConflictView& view,
+                                            const std::vector<std::uint64_t>& colors,
+                                            LinialParams params, const ExecBackend& ex) {
   const FlatPolyEval field(params.q, params.k);
   const std::uint32_t q = field.q();
   const auto width = static_cast<std::size_t>(field.width());
-  const int n = static_cast<int>(memo.slot.size());
+  const int n = view.num_active();
 
-  // Item-owned digit pass: slot s's row is digits[s*width, (s+1)*width);
+  // Slot-owned digit pass: slot s's digits are digits[s*width, (s+1)*width);
   // slot_color keeps the colors dense for the per-neighbor input check.
-  std::vector<std::uint32_t> digits(static_cast<std::size_t>(memo.slots) * width);
-  std::vector<std::uint64_t> slot_color(static_cast<std::size_t>(memo.slots));
-  ex.for_indices(n, [&](int, int i) {
-    const int s = memo.slot[static_cast<std::size_t>(i)];
-    if (s < 0) return;
-    const std::uint64_t c = colors[static_cast<std::size_t>(i)];
+  std::vector<std::uint32_t> digits(static_cast<std::size_t>(n) * width);
+  std::vector<std::uint64_t> slot_color(static_cast<std::size_t>(n));
+  ex.for_indices(n, [&](int, int s) {
+    const std::uint64_t c = colors[static_cast<std::size_t>(view.item(s))];
     slot_color[static_cast<std::size_t>(s)] = c;
     field.digits(c, &digits[static_cast<std::size_t>(s) * width]);
   });
@@ -88,13 +41,11 @@ std::vector<std::uint64_t> linial_step_impl(const std::vector<std::uint64_t>& co
   // reads the committed previous-round digit rows of its neighbors and
   // writes only next[i], so the scan fans out over the backend's lanes.
   std::vector<std::uint64_t> next = colors;
-  ex.for_indices(n, [&](int, int i) {
-    const int s = memo.slot[static_cast<std::size_t>(i)];
-    if (s < 0) return;
+  ex.for_indices(n, [&](int, int s) {
+    const int i = view.item(s);
     const std::uint64_t c = slot_color[static_cast<std::size_t>(s)];
-    const int* const nbr = memo.nbr_slots.data() + memo.offsets[static_cast<std::size_t>(i)];
-    const int deg = static_cast<int>(memo.offsets[static_cast<std::size_t>(i) + 1] -
-                                     memo.offsets[static_cast<std::size_t>(i)]);
+    const std::span<const int> nbr = view.row(s);
+    const int deg = static_cast<int>(nbr.size());
     for (int j = 0; j < deg; ++j) {
       QPLEC_ASSERT_MSG(slot_color[static_cast<std::size_t>(nbr[j])] != c,
                        "linial_step requires a proper input coloring");
@@ -162,7 +113,7 @@ std::vector<std::uint64_t> linial_step(const ConflictView& view,
                                        LinialParams params, const ExecBackend* exec) {
   const ExecBackend& ex = exec != nullptr ? *exec : serial_backend();
   QPLEC_REQUIRE(colors.size() == static_cast<std::size_t>(view.num_items()));
-  return linial_step_impl(colors, params, ex, build_linial_memo(view, ex));
+  return linial_step_impl(view, colors, params, ex);
 }
 
 LinialResult linial_reduce(const ConflictView& view, std::vector<std::uint64_t> colors,
@@ -175,19 +126,14 @@ LinialResult linial_reduce(const ConflictView& view, std::vector<std::uint64_t> 
   out.palette = palette;
   // The reduction collapses super-exponentially; 64 iterations is far beyond
   // log* of anything representable.
-  // The iterations share one memo (built lazily at the first step): the
-  // active set never changes inside a reduce, so every step after the first
-  // replays the flat neighbor rows instead of re-walking incident lists.
-  std::optional<LinialMemo> memo;
   for (int iter = 0; iter < 64; ++iter) {
     const LinialParams params = choose_linial_params(out.palette, degree_bound);
     if (params.q == 0) break;  // fixpoint
     const std::uint64_t new_palette =
         static_cast<std::uint64_t>(params.q) * static_cast<std::uint64_t>(params.q);
-    if (!memo) memo = build_linial_memo(view, ex);
     {
       const trace::Span span("linial-step", "engine");
-      out.colors = linial_step_impl(out.colors, params, ex, *memo);
+      out.colors = linial_step_impl(view, out.colors, params, ex);
     }
     out.palette = new_palette;
     ++out.rounds;

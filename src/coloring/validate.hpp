@@ -42,44 +42,21 @@ int edge_defect(const Graph& g, const EdgeSubset& H, const std::vector<int>& cls
 /// Max defect over H.
 int max_defect(const Graph& g, const EdgeSubset& H, const std::vector<int>& cls);
 
-/// True iff `colors` (any integral type) is proper on the conflict view:
-/// active items have colors distinct from all their conflict neighbors.
+/// True iff `colors` (any integral type, indexed by item) is proper on the
+/// conflict view: active items have colors distinct from all their conflict
+/// neighbors.  The slot scan fans out over the backend's lanes (null =
+/// serial) and the per-lane verdicts fold with an order-invariant `all`, so
+/// a sharded solve does not serialize on its own validators.
 template <typename ColorT>
 bool is_proper_on_conflict(const ConflictView& view, const std::vector<ColorT>& colors,
-                           std::string* why = nullptr) {
-  for (int i = 0; i < view.num_items(); ++i) {
-    if (!view.active(i)) continue;
-    bool ok = true;
-    view.for_each_neighbor(i, [&](int f) {
-      if (colors[static_cast<std::size_t>(i)] == colors[static_cast<std::size_t>(f)]) ok = false;
-    });
-    if (!ok) {
-      if (why != nullptr) {
-        *why = "conflict-graph color clash at item " + std::to_string(i);
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Backend-parallel variant of the properness check: the item scan fans out
-/// over the backend's lanes and the per-lane verdicts fold with an
-/// order-invariant `all`.  Used by the hot asserts inside the base-case
-/// primitives so a sharded solve does not serialize on its own validators.
-template <typename ColorT>
-bool is_proper_on_conflict(const ConflictView& view, const std::vector<ColorT>& colors,
-                           const ExecBackend& exec) {
+                           const ExecBackend& exec = serial_backend()) {
   DeterministicReducer<char> ok(exec.lanes(), 1);
-  exec.for_indices(view.num_items(), [&](int lane, int i) {
-    if (!view.active(i) || ok.lane(lane) == 0) return;
-    bool good = true;
-    view.for_each_neighbor(i, [&](int f) {
-      if (colors[static_cast<std::size_t>(i)] == colors[static_cast<std::size_t>(f)]) {
-        good = false;
-      }
-    });
-    if (!good) ok.lane(lane) = 0;
+  exec.for_indices(view.num_active(), [&](int lane, int s) {
+    if (ok.lane(lane) == 0) return;
+    const ColorT c = colors[static_cast<std::size_t>(view.item(s))];
+    for (const int f : view.row(s)) {
+      if (colors[static_cast<std::size_t>(view.item(f))] == c) ok.lane(lane) = 0;
+    }
   });
   return ok.all();
 }

@@ -18,7 +18,7 @@ SolverEngine::SolverEngine(const Graph& g, std::vector<ColorList> lists, Color p
                            std::vector<std::uint64_t> phi, std::uint64_t phi_palette,
                            const Policy& policy, RoundLedger& ledger, SolverStats& stats,
                            int depth, const ExecBackend* exec, const ExecConfig& config,
-                           const SolveControl* control)
+                           const SolveControl* control, std::optional<ConflictView> line_graph)
     : g_(g),
       work_(std::move(lists)),
       palette_(palette),
@@ -33,7 +33,8 @@ SolverEngine::SolverEngine(const Graph& g, std::vector<ColorList> lists, Color p
       gate_(config.make_validation_gate()),
       control_(control),
       final_(static_cast<std::size_t>(g.num_edges()), kUncolored),
-      cache_(g, final_, *exec_) {
+      cache_(line_graph ? std::move(*line_graph) : LineGraphConflict(g, EdgeSubset::all(g), exec_),
+             final_, *exec_) {
   QPLEC_REQUIRE(work_.size() == static_cast<std::size_t>(g.num_edges()));
   QPLEC_REQUIRE(phi_.size() == static_cast<std::size_t>(g.num_edges()));
   note_depth(depth);
@@ -56,13 +57,7 @@ void SolverEngine::note_depth(int depth) {
 
 EdgeColoring SolverEngine::solve() {
   if (g_.num_edges() > 0) {
-    // Demoted entry walk: phi properness is re-checked by every primitive
-    // that consumes it, and the final coloring is validated downstream.
-    if (validation_due()) {
-      const PassTimer timer(stats_.profile.validate_ms, "validate-entry");
-      QPLEC_ASSERT(
-          is_proper_on_conflict(LineGraphConflict(g_, EdgeSubset::all(g_)), phi_, *exec_));
-    }
+    validate_entry();
     solve_no_slack(EdgeSubset::all(g_), base_depth_);
   }
   return finish_solve();
@@ -70,14 +65,27 @@ EdgeColoring SolverEngine::solve() {
 
 EdgeColoring SolverEngine::solve_relaxed_instance(double slack) {
   if (g_.num_edges() > 0) {
-    if (validation_due()) {
-      const PassTimer timer(stats_.profile.validate_ms, "validate-entry");
-      QPLEC_ASSERT(
-          is_proper_on_conflict(LineGraphConflict(g_, EdgeSubset::all(g_)), phi_, *exec_));
-    }
+    validate_entry();
     solve_relaxed(EdgeSubset::all(g_), slack, 0, palette_, base_depth_);
   }
   return finish_solve();
+}
+
+void SolverEngine::validate_entry() {
+  // Demoted entry walk: phi properness is re-checked by every primitive
+  // that consumes it, and the final coloring is validated downstream.
+  // Nothing is finalized yet, so the live rows are the full line graph.
+  if (!validation_due()) return;
+  const PassTimer timer(stats_.profile.validate_ms, "validate-entry");
+  DeterministicReducer<char> proper(exec_->lanes(), 1);
+  exec_->for_indices(g_.num_edges(), [&](int lane, int e) {
+    for (const EdgeId f : cache_.live_row(e)) {
+      if (phi_[static_cast<std::size_t>(e)] == phi_[static_cast<std::size_t>(f)]) {
+        proper.lane(lane) = 0;
+      }
+    }
+  });
+  QPLEC_ASSERT_MSG(proper.all(), "phi is not a proper edge coloring");
 }
 
 EdgeColoring SolverEngine::finish_solve() {
@@ -164,7 +172,7 @@ void SolverEngine::solve_basecase(const EdgeSubset& H) {
   checkpoint();
   ++stats_.basecase_calls;
   const int d = round_head(H, "base case feasibility");
-  const LineGraphConflict view(g_, H);
+  const LineGraphConflict view(g_, H, exec_);
   solve_conflict_list(view, work_, phi_, phi_palette_, d, final_, ledger_, exec_, control_, &gate_,
                       config_.greedy_batch_quantum);
   // The whole subset finalized at once: record the deltas for the next

@@ -24,8 +24,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "src/coloring/conflict.hpp"
 #include "src/coloring/palette.hpp"
 #include "src/coloring/problem.hpp"
 #include "src/common/control.hpp"
@@ -84,8 +86,7 @@ struct SolverStats {
 
   // NeighborColorCache telemetry.  Deterministic for a given instance and
   // shard count-invariant: one delta per finalized edge, one removed pair
-  // per (edge, finalized neighbor) in row mode (none in rescan mode), summed
-  // over the engine and its children.
+  // per (edge, finalized neighbor), summed over the engine and its children.
   std::int64_t cache_flushes = 0;
   std::int64_t cache_deltas = 0;
   std::int64_t cache_colors_removed = 0;
@@ -122,11 +123,15 @@ class SolverEngine {
   /// serial points between rounds only (children inherit the pointer); a
   /// cancelled solve unwinds with SolveInterrupted, a completed solve is
   /// bit-identical with or without a control attached.
+  /// line_graph: the full line graph of g (LineGraphConflict over every
+  /// edge), handed over by a caller that already built it; the cache adopts
+  /// its rows.  Absent, the engine builds it on `exec`.
   SolverEngine(const Graph& g, std::vector<ColorList> lists, Color palette,
                std::vector<std::uint64_t> phi, std::uint64_t phi_palette,
                const Policy& policy, RoundLedger& ledger, SolverStats& stats, int depth,
                const ExecBackend* exec = nullptr, const ExecConfig& config = {},
-               const SolveControl* control = nullptr);
+               const SolveControl* control = nullptr,
+               std::optional<ConflictView> line_graph = std::nullopt);
 
   // The cache points into final_: an engine never moves.
   SolverEngine(const SolverEngine&) = delete;
@@ -154,6 +159,10 @@ class SolverEngine {
   }
 
  private:
+  // Shared prologue of the public solve entry points: the demoted walk of
+  // phi's properness over the cache's rows.
+  void validate_entry();
+
   // Shared epilogue of the public solve entry points: validates the output
   // and folds the cache telemetry into the stats.
   EdgeColoring finish_solve();
@@ -225,7 +234,7 @@ class SolverEngine {
   ValidationGate gate_;      ///< per-engine cadence of the demoted walks
   const SolveControl* control_;  ///< null when uncontrolled; children inherit
   EdgeColoring final_;
-  NeighborColorCache cache_;  ///< watches final_; rows or rescan mode by fits(g_)
+  NeighborColorCache cache_;  ///< watches final_; owns the line graph's rows
 };
 
 }  // namespace qplec

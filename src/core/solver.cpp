@@ -60,8 +60,9 @@ SolveResult Solver::run(const ListEdgeColoringInstance& instance, double slack,
 
   // Phase 0: maintained helper coloring phi — O(log* n) rounds.
   const InitialColoring init = initial_edge_coloring_from_ids(g);
-  const EdgeSubset all = EdgeSubset::all(g);
-  const LineGraphConflict view(g, all);
+  // The one full line graph of the solve: Linial reads it here, then the
+  // engine's neighbor cache adopts its rows.
+  LineGraphConflict view(g, EdgeSubset::all(g), exec);
   LinialResult lin;
   {
     auto scope = ledger.sequential("initial-coloring");
@@ -74,7 +75,8 @@ SolveResult Solver::run(const ListEdgeColoringInstance& instance, double slack,
 
   // Phases 1+: the Section 4 recursion.
   SolverEngine engine(g, instance.lists, instance.palette_size, std::move(lin.colors),
-                      lin.palette, policy_, ledger, res.stats, 0, exec, config_, control);
+                      lin.palette, policy_, ledger, res.stats, 0, exec, config_, control,
+                      std::move(view));
   {
     auto scope = ledger.sequential("list-edge-coloring");
     const trace::Span span("list-edge-coloring", "solver");

@@ -126,8 +126,7 @@ class ExecBackend {
   /// order, and cover [0, universe) exactly.  The unique-writer partition
   /// primitive: within its call, a lane may write per-edge state of ANY
   /// edge id inside its own range (not just state of edges a step function
-  /// was handed) — the NeighborColorCache fills its per-edge live rows
-  /// through this.  On a sharded backend `universe` must equal the sharded
+  /// was handed).  On a sharded backend `universe` must equal the sharded
   /// graph's edge count (the ranges are the degree-balanced edge shards).
   template <typename Fn>
   void for_edge_ranges(int universe, Fn&& fn) const {

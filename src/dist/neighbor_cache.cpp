@@ -1,48 +1,24 @@
 #include "src/dist/neighbor_cache.hpp"
 
-#include "src/obs/metrics.hpp"
-
 namespace qplec {
 
-NeighborColorCache::NeighborColorCache(const Graph& g, const EdgeColoring& final,
+NeighborColorCache::NeighborColorCache(ConflictView line_graph, const EdgeColoring& final,
                                        const ExecBackend& exec)
-    : g_(&g),
-      final_(&final),
-      num_edges_(g.num_edges()),
-      rescan_(!fits(g)),
+    : final_(&final),
+      num_edges_(line_graph.num_items()),
       queues_(exec.lanes()),
+      pending_(static_cast<std::size_t>(num_edges_)),
+      offsets_(std::move(line_graph.offsets_)),
+      nbrs_(std::move(line_graph.nbrs_)),
+      live_count_(static_cast<std::size_t>(num_edges_)),
+      row_epoch_(static_cast<std::size_t>(num_edges_), 0),
       drops_(exec.lanes()) {
+  QPLEC_REQUIRE_MSG(line_graph.num_active() == num_edges_,
+                    "the cache adopts the rows of a full line graph");
   QPLEC_REQUIRE(final.size() == static_cast<std::size_t>(num_edges_));
-  // Process-wide mode counters: "hit" built the rows, "budget_reject" runs
-  // in rescan mode because the rows would dwarf the graph.
-  if (num_edges_ > 0) {
-    auto& reg = obs::MetricsRegistry::global();
-    static obs::Counter& hit = reg.counter("qplec_cache_engines_total{mode=\"hit\"}");
-    static obs::Counter& budget_reject =
-        reg.counter("qplec_cache_engines_total{mode=\"budget_reject\"}");
-    (rescan_ ? budget_reject : hit).inc();
+  for (std::size_t e = 0; e < live_count_.size(); ++e) {
+    live_count_[e] = static_cast<std::int32_t>(offsets_[e + 1] - offsets_[e]);
   }
-  if (rescan_) return;
-  const std::size_t m = static_cast<std::size_t>(num_edges_);
-  pending_.resize(m);
-  offsets_.resize(m + 1, 0);
-  live_count_.resize(m, 0);
-  row_epoch_.resize(m, 0);
-  for (std::size_t e = 0; e < m; ++e) {
-    offsets_[e + 1] =
-        offsets_[e] + static_cast<std::size_t>(g.edge_degree(static_cast<EdgeId>(e)));
-  }
-  nbrs_.resize(offsets_[m]);
-  // Row fill runs over the backend's unique-writer edge ranges: each lane
-  // fills exactly the CSR rows of the edges it owns.
-  exec.for_edge_ranges(num_edges_, [&](int, EdgeId begin, EdgeId end) {
-    for (EdgeId e = begin; e < end; ++e) {
-      std::size_t w = offsets_[static_cast<std::size_t>(e)];
-      g_->for_each_edge_neighbor(e, [&](EdgeId f) { nbrs_[w++] = f; });
-      live_count_[static_cast<std::size_t>(e)] =
-          static_cast<std::int32_t>(w - offsets_[static_cast<std::size_t>(e)]);
-    }
-  });
 }
 
 void NeighborColorCache::flush() {

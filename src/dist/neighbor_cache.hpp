@@ -30,26 +30,24 @@
 //     final array, the wave advances the row epoch, and the drain feeds the
 //     telemetry the differential tests pin.
 //
-// RESCAN MODE: when the rows would not fit the materialization budget
-// (fits() false — hub-heavy graphs), the cache builds no rows at all.
-// consume() then walks the full neighborhood against the final array, and
-// for_each_live_neighbor / induced_degree walk the full neighborhood too.
-// The resulting lists and degrees are the same as in row mode; only the
-// cost per sweep differs.  The delta queues and flush() run in both modes.
+// The rows are not built here: the cache adopts the CSR of a full-graph
+// ConflictView (Solver::run hands over the one its Linial phase read), so a
+// solve fills the line graph once.  They hold sum(deg(e)) entries — fewer
+// than the sum(|L_e|) >= sum(deg(e) + 1) colors the engine's lists hold.
 //
 // Cross-shard note: all row/pending maintenance is edge-owned, so no lock or
 // message is needed at shard boundaries — boundary information travels
-// through the shared final-color array, which is frozen during every pass
-// (the rows themselves are built over ExecBackend::for_edge_ranges, the
-// unique-writer partition).
+// through the shared final-color array, which is frozen during every pass.
 //
 // One cache serves one SolverEngine (the final-color array it watches); the
 // engines the recursion spawns for virtual graphs build their own.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "src/coloring/conflict.hpp"
 #include "src/coloring/problem.hpp"
 #include "src/dist/backend.hpp"
 #include "src/graph/graph.hpp"
@@ -59,39 +57,18 @@ namespace qplec {
 
 class NeighborColorCache {
  public:
-  /// Materialization budget: the live rows store the full line-graph
-  /// adjacency (sum over edges of edge_degree — Theta(sum of deg^2) on
-  /// hub-heavy graphs, vs the O(m) on-the-fly walks of rescan mode), so
-  /// rows are only built when the payload stays within an absolute cap OR
-  /// within a modest factor of the edge count.  A star K_{1,100000} would
-  /// otherwise allocate ~10^10 row entries in the engine constructor.
-  static constexpr std::int64_t kMaxPayloadEntries = std::int64_t{1} << 26;  // 256 MiB
-  static constexpr std::int64_t kMaxAvgEdgeDegree = 64;
-
-  /// Whether the live rows of g fit the budget above.  When false the cache
-  /// runs in rescan mode (no rows; see the file comment).
-  static bool fits(const Graph& g) {
-    std::int64_t payload = 0;
-    for (EdgeId e = 0; e < g.num_edges(); ++e) payload += g.edge_degree(e);
-    return payload <= kMaxPayloadEntries ||
-           payload <= kMaxAvgEdgeDegree * static_cast<std::int64_t>(g.num_edges());
-  }
-
-  /// `final` is the engine's final-color array (one slot per edge of g,
-  /// kUncolored until finalized); both g and final must outlive the cache.
-  /// `exec` supplies the lanes the delta queues and drop counters are
-  /// indexed by; the row fill runs over its unique-writer edge ranges.
-  /// Rows are built when fits(g), otherwise the cache runs in rescan mode.
-  NeighborColorCache(const Graph& g, const EdgeColoring& final, const ExecBackend& exec);
+  /// Adopts the rows of `line_graph`, the full line graph of the engine's
+  /// graph (every edge active, so slots are edge ids).  `final` is the
+  /// engine's final-color array (one slot per edge, kUncolored until
+  /// finalized) and must outlive the cache.  `exec` supplies the lanes the
+  /// delta queues and drop counters are indexed by.
+  NeighborColorCache(ConflictView line_graph, const EdgeColoring& final,
+                     const ExecBackend& exec);
 
   NeighborColorCache(const NeighborColorCache&) = delete;
   NeighborColorCache& operator=(const NeighborColorCache&) = delete;
 
   int num_lanes() const { return queues_.num_lanes(); }
-
-  /// True when g failed fits(): no rows, every sweep walks the full
-  /// neighborhood.
-  bool rescan() const { return rescan_; }
 
   /// Records edge e as newly finalized, from inside a backend pass running
   /// on `lane`.  final[e] must already hold its color by the next flush().
@@ -112,16 +89,8 @@ class NeighborColorCache {
   /// this removes exactly the colors of the neighbors finalized since e's
   /// previous consume — the colors a full rescan would remove.
   /// Epoch-gated: if no finalize wave was flushed since e's last sweep, the
-  /// row provably holds no finalized entries and the walk is skipped.  In
-  /// rescan mode: removes the color of every finalized neighbor of e.
+  /// row provably holds no finalized entries and the walk is skipped.
   void consume(int lane, EdgeId e, ColorList& list) {
-    if (rescan_) {
-      g_->for_each_edge_neighbor(e, [&](EdgeId f) {
-        const Color cf = (*final_)[static_cast<std::size_t>(f)];
-        if (cf != kUncolored) list.remove(cf);
-      });
-      return;
-    }
     auto& pending = pending_[static_cast<std::size_t>(e)];
     if (!pending.empty()) {
       for (const Color c : pending) list.remove(c);
@@ -160,14 +129,9 @@ class NeighborColorCache {
   /// stale, so a row may briefly be iterated with finalized entries still
   /// in it.  Every caller filters by membership in an unfinalized-only
   /// subset, so those entries are transparent — the check here exists for
-  /// compaction, never for correctness of the enumeration.  Rescan mode
-  /// relies on the same filter: it enumerates the full neighborhood.
+  /// compaction, never for correctness of the enumeration.
   template <typename Fn>
   void for_each_live_neighbor(int lane, EdgeId e, Fn&& fn) {
-    if (rescan_) {
-      g_->for_each_edge_neighbor(e, fn);
-      return;
-    }
     const std::size_t begin = offsets_[static_cast<std::size_t>(e)];
     const std::size_t end =
         begin + static_cast<std::size_t>(live_count_[static_cast<std::size_t>(e)]);
@@ -202,18 +166,21 @@ class NeighborColorCache {
     return d;
   }
 
-  /// Number of neighbors of e still unfinalized as of the last sweep (an
-  /// upper bound between sweeps; the full edge degree in rescan mode).
-  int live_degree_bound(EdgeId e) const {
-    if (rescan_) return g_->edge_degree(e);
-    return static_cast<int>(live_count_[static_cast<std::size_t>(e)]);
+  /// e's live row as of its last sweep: a superset of its unfinalized
+  /// neighbors between sweeps, and its full neighborhood until the first
+  /// finalize wave.  Read-only: legal in any pass once no sweep of e runs.
+  std::span<const EdgeId> live_row(EdgeId e) const {
+    return {nbrs_.data() + offsets_[static_cast<std::size_t>(e)],
+            static_cast<std::size_t>(live_count_[static_cast<std::size_t>(e)])};
   }
 
+  /// Number of neighbors of e still unfinalized as of the last sweep (an
+  /// upper bound between sweeps).
+  int live_degree_bound(EdgeId e) const { return static_cast<int>(live_row(e).size()); }
+
   /// Colors deferred for e by non-consuming sweeps, not yet drained (test
-  /// hook; always empty in rescan mode, which defers nothing).
+  /// hook).
   const std::vector<Color>& pending(EdgeId e) const {
-    static const std::vector<Color> kNone;
-    if (rescan_) return kNone;
     return pending_[static_cast<std::size_t>(e)];
   }
 
@@ -235,8 +202,7 @@ class NeighborColorCache {
 
   /// Total (edge, finalized neighbor) pairs handled incrementally: each
   /// pair is dropped from a live row exactly once — either removed directly
-  /// by a consume or deferred through pending.  0 in rescan mode (there
-  /// are no rows to drop from).  Coordinating thread only.
+  /// by a consume or deferred through pending.  Coordinating thread only.
   std::int64_t colors_removed() const {
     std::int64_t total = 0;
     for (int lane = 0; lane < drops_.num_lanes(); ++lane) total += drops_.lane(lane);
@@ -244,18 +210,16 @@ class NeighborColorCache {
   }
 
  private:
-  const Graph* g_;
   const EdgeColoring* final_;
   int num_edges_;
-  bool rescan_;
 
   LaneScratch<std::vector<EdgeId>> queues_;
   std::vector<EdgeId> delta_buf_;  ///< drained batch, reused across flushes
 
   std::vector<std::vector<Color>> pending_;  ///< deferred, undrained colors
 
-  // Flat-CSR live rows (empty in rescan mode): edge e's live neighbors are
-  // nbrs_[offsets_[e] .. offsets_[e] + live_count_[e]).
+  // Flat-CSR live rows (adopted from the line graph): edge e's live
+  // neighbors are nbrs_[offsets_[e] .. offsets_[e] + live_count_[e]).
   std::vector<std::size_t> offsets_;
   std::vector<EdgeId> nbrs_;
   std::vector<std::int32_t> live_count_;

@@ -1,6 +1,7 @@
 #include "src/graph/graph.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "src/common/rng.hpp"
 
@@ -35,13 +36,11 @@ Graph Graph::with_scrambled_ids(std::uint64_t id_space, std::uint64_t seed) cons
     picks.assign(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(n));
   } else {
     // Rejection sampling: collisions are rare when the space is >= 4n.
-    std::vector<std::uint64_t> sorted;
+    std::unordered_set<std::uint64_t> seen;
+    seen.reserve(n);
     while (picks.size() < n) {
       const std::uint64_t candidate = rng.next_below(id_space) + 1;
-      auto it = std::lower_bound(sorted.begin(), sorted.end(), candidate);
-      if (it != sorted.end() && *it == candidate) continue;
-      sorted.insert(it, candidate);
-      picks.push_back(candidate);
+      if (seen.insert(candidate).second) picks.push_back(candidate);
     }
   }
   g.local_ids_ = std::move(picks);

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/coloring/initial.hpp"
 #include "src/coloring/validate.hpp"
 #include "src/common/assert.hpp"
 #include "src/graph/io.hpp"
@@ -951,9 +952,8 @@ void SolveService::run_job(SolveTicket::Job& job) const {
           if (!in) throw std::invalid_argument("cannot open " + req.path_);
           g = read_edge_list(in);
           if (req.scramble_) {
-            const auto n = static_cast<std::uint64_t>(g.num_nodes());
             g = g.with_scrambled_ids(
-                std::max<std::uint64_t>(1, n * std::max<std::uint64_t>(1, n)), req.scramble_seed_);
+                scrambled_id_space(static_cast<std::uint64_t>(g.num_nodes())), req.scramble_seed_);
           }
         }
         const trace::Span span("lists", "service");

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "src/coloring/conflict.hpp"
 #include "src/coloring/problem.hpp"
 #include "src/dist/backend.hpp"
 #include "src/dist/neighbor_cache.hpp"
@@ -33,13 +34,11 @@ inline ColorList rescan(const Graph& g, const EdgeColoring& final, EdgeId e, Col
 /// starting lists.  Callers filter live neighbors by an unfinalized-only
 /// subset (the engine's contract), so the check does too.
 inline void expect_cache_matches_rescan(const Graph& g, const EdgeColoring& colors,
-                                        const std::vector<ColorList>& lists, bool rescan_mode,
-                                        int stride) {
+                                        const std::vector<ColorList>& lists, int stride) {
   ASSERT_EQ(colors.size(), static_cast<std::size_t>(g.num_edges()));
   ASSERT_EQ(lists.size(), static_cast<std::size_t>(g.num_edges()));
   EdgeColoring final(static_cast<std::size_t>(g.num_edges()), kUncolored);
-  NeighborColorCache cache(g, final, serial_backend());
-  ASSERT_EQ(cache.rescan(), rescan_mode);
+  NeighborColorCache cache(LineGraphConflict(g, EdgeSubset::all(g)), final, serial_backend());
 
   std::vector<ColorList> cached = lists;
   std::vector<ColorList> oracle = lists;
@@ -80,14 +79,11 @@ inline void expect_cache_matches_rescan(const Graph& g, const EdgeColoring& colo
     EXPECT_EQ(cached[i], rescan(g, final, e, lists[i])) << "edge " << e;
   }
   EXPECT_EQ(cache.deltas_flushed(), g.num_edges() - live.size());
-  if (rescan_mode) {
-    EXPECT_EQ(cache.colors_removed(), 0);
-  }
 }
 
 /// The synthetic schedule of the cache unit tests: palette [0, 64), edge e
 /// finalizes to color e % 64.
-inline void expect_cache_matches_rescan(const Graph& g, bool rescan_mode, int stride) {
+inline void expect_cache_matches_rescan(const Graph& g, int stride) {
   constexpr Color kPalette = 64;
   EdgeColoring colors(static_cast<std::size_t>(g.num_edges()));
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -95,7 +91,7 @@ inline void expect_cache_matches_rescan(const Graph& g, bool rescan_mode, int st
   }
   const std::vector<ColorList> lists(static_cast<std::size_t>(g.num_edges()),
                                      ColorList::range(0, kPalette));
-  expect_cache_matches_rescan(g, colors, lists, rescan_mode, stride);
+  expect_cache_matches_rescan(g, colors, lists, stride);
 }
 
 }  // namespace test_support

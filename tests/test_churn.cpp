@@ -138,7 +138,7 @@ TEST(Recolor, RegionIsExactlyTheInsertedEdges) {
   expect_no_drift(plan, rec.result.colors, "insert-region");
 }
 
-TEST(Recolor, RepairBitIdenticalAcrossShardsCacheAndFusion) {
+TEST(Recolor, RepairBitIdenticalAcrossShardCounts) {
   const Base base = make_base(96, 6, 17);
   const ChurnBatch batch = make_random_churn(base.instance.graph, 6, 6, 456);
   const RecolorPlan plan = plan_recolor(base.instance, base.solved.colors, batch.ops);

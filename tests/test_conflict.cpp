@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "src/common/rng.hpp"
 #include "src/graph/generators.hpp"
+#include "src/runtime/thread_pool.hpp"
 
 namespace qplec {
 namespace {
@@ -60,6 +63,86 @@ TEST(ExplicitConflict, IsolatedActiveItems) {
   const ExplicitConflict view(4, {0, 1, 2, 3}, {});
   EXPECT_EQ(view.max_degree(), 0);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(view.degree(i), 0);
+}
+
+// The rows against a brute-force walk: for every item, active iff it is in
+// the subset, and its row lists exactly the subset's edges sharing an
+// endpoint, in Graph::for_each_edge_neighbor order.  A sharded build yields
+// the same rows.
+TEST(ConflictView, LineGraphRowsMatchBruteForceGraphWalk) {
+  ThreadPool pool(3);
+  for (const Graph& g : {make_gnp(40, 0.2, 7), make_star(30), make_complete(12)}) {
+    Rng rng(11);
+    std::vector<EdgeSubset> subsets{EdgeSubset::all(g), EdgeSubset(g.num_edges())};
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (rng.next_below(3) != 0) subsets.back().insert(e);
+    }
+    for (const EdgeSubset& sub : subsets) {
+      const LineGraphConflict view(g, sub);
+      ASSERT_EQ(view.num_items(), g.num_edges());
+      ASSERT_EQ(view.num_active(), sub.size());
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
+        ASSERT_EQ(view.active(e), sub.contains(e));
+        if (!sub.contains(e)) continue;
+        const EdgeEndpoints& ep = g.endpoints(e);
+        std::set<int> expected;
+        for (EdgeId f = 0; f < g.num_edges(); ++f) {
+          const EdgeEndpoints& fp = g.endpoints(f);
+          const bool adjacent = fp.u == ep.u || fp.u == ep.v || fp.v == ep.u || fp.v == ep.v;
+          if (f != e && adjacent && sub.contains(f)) expected.insert(f);
+        }
+        std::vector<int> walked;
+        g.for_each_edge_neighbor(e, [&](EdgeId f) {
+          if (sub.contains(f)) walked.push_back(f);
+        });
+        std::vector<int> got;
+        for (const int s : view.row(view.slot(e))) got.push_back(view.item(s));
+        EXPECT_EQ(got, walked) << "edge " << e;
+        EXPECT_EQ(std::set<int>(got.begin(), got.end()), expected) << "edge " << e;
+        EXPECT_EQ(view.degree(e), static_cast<int>(expected.size()));
+      }
+      const ExecBackend backend(g, 3, pool);
+      const LineGraphConflict sharded(g, sub, &backend);
+      for (int s = 0; s < view.num_active(); ++s) {
+        ASSERT_EQ(sharded.item(s), view.item(s));
+        const auto a = view.row(s);
+        const auto b = sharded.row(s);
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "slot " << s;
+      }
+    }
+  }
+}
+
+// Explicit pairs, duplicates and both orientations included: each active
+// item's row is its deduplicated neighbor set in increasing item order.
+TEST(ConflictView, ExplicitRowsMatchDeduplicatedPairs) {
+  Rng rng(5);
+  const int universe = 60;
+  std::vector<int> active;
+  for (int i = 0; i < universe; ++i) {
+    if (rng.next_below(4) != 0) active.push_back(i);
+  }
+  std::vector<std::pair<int, int>> pairs;
+  for (int t = 0; t < 150; ++t) {
+    const int a = active[rng.next_below(active.size())];
+    const int b = active[rng.next_below(active.size())];
+    if (a == b) continue;
+    pairs.emplace_back(a, b);
+    if (t % 3 == 0) pairs.emplace_back(b, a);  // the same pair, reversed
+    if (t % 5 == 0) pairs.emplace_back(a, b);  // an exact duplicate
+  }
+  const ExplicitConflict view(universe, active, pairs);
+  ASSERT_EQ(view.num_active(), static_cast<int>(active.size()));
+  for (const int i : active) {
+    std::set<int> expected;
+    for (const auto& [a, b] : pairs) {
+      if (a == i) expected.insert(b);
+      if (b == i) expected.insert(a);
+    }
+    std::vector<int> got;
+    view.for_each_neighbor(i, [&](int f) { got.push_back(f); });
+    EXPECT_EQ(got, std::vector<int>(expected.begin(), expected.end())) << "item " << i;
+  }
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
 #include <sstream>
 
+#include "src/coloring/initial.hpp"
 #include "src/graph/builder.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/io.hpp"
@@ -132,6 +134,23 @@ TEST(Graph, ScrambledIdsDenseSpace) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) ids.insert(g.local_id(v));
   EXPECT_EQ(ids.size(), 20u);
   EXPECT_EQ(*ids.rbegin(), 20u);  // dense: all of 1..20 used
+}
+
+// The rejection sampler is linear in the node count: 2^20 nodes drawn from
+// the clamped id space take well under a second.
+TEST(Graph, ScrambleOfTwoToTheTwentyNodesRunsInSeconds) {
+  const int n = 1 << 20;
+  const Graph empty = GraphBuilder(n).build();
+  const auto start = std::chrono::steady_clock::now();
+  const Graph g = empty.with_scrambled_ids(scrambled_id_space(n), 3);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_LT(seconds, 30.0);
+  std::vector<std::uint64_t> ids(g.all_local_ids().begin(), g.all_local_ids().end());
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+  EXPECT_GE(ids.front(), 1u);
+  EXPECT_LE(ids.back(), kMaxInitialId);
 }
 
 TEST(Graph, ScrambleDeterministicBySeed) {

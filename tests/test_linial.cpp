@@ -212,7 +212,7 @@ std::vector<std::uint64_t> reference_step(const ConflictView& view,
 
 /// One differential input: a view, a proper coloring below `palette`, a
 /// degree bound, and the graph the sharded backends partition (held by
-/// pointer: the view refers to it, so its address must survive a move).
+/// pointer: a backend refers to it, so its address must survive a move).
 struct DiffCase {
   std::string name;
   std::unique_ptr<const Graph> graph;
@@ -226,7 +226,7 @@ DiffCase line_graph_case(std::string name, Graph g) {
   DiffCase c;
   c.name = std::move(name);
   c.graph = std::make_unique<const Graph>(std::move(g));
-  c.view = std::make_unique<LineGraphConflict>(*c.graph, EdgeSubset::all(*c.graph));
+  c.view = std::make_unique<ConflictView>(LineGraphConflict(*c.graph, EdgeSubset::all(*c.graph)));
   const InitialColoring init = initial_edge_coloring_from_ids(*c.graph);
   c.colors = init.colors;
   c.palette = init.palette;
@@ -243,7 +243,7 @@ DiffCase explicit_case(std::string name, int universe, const std::vector<int>& a
   DiffCase c;
   c.name = std::move(name);
   c.graph = std::make_unique<const Graph>(make_path(universe + 1));  // `universe` edges
-  c.view = std::make_unique<ExplicitConflict>(universe, active, conflicts);
+  c.view = std::make_unique<ConflictView>(ExplicitConflict(universe, active, conflicts));
   Rng rng(seed);
   std::set<std::uint64_t> used;
   while (static_cast<int>(used.size()) < universe) used.insert(rng.next_below(1ull << 40));

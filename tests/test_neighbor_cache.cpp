@@ -1,9 +1,9 @@
-// The NeighborColorCache contract: in both of its modes (materialized live
-// rows, or rescan for graphs over the row budget) every consume /
-// live-neighbor / induced-degree answer matches a brute-force rescan of the
-// final-color array; the telemetry is shard-count invariant; plus unit tests
-// of the delta machinery itself (finalize scatter, shard-boundary crossing,
-// consume after re-restriction, live-neighbor compaction).
+// The NeighborColorCache contract: every consume / live-neighbor /
+// induced-degree answer over the adopted line-graph rows matches a
+// brute-force rescan of the final-color array, hub-heavy graphs included;
+// the telemetry is shard-count invariant; plus unit tests of the delta
+// machinery itself (finalize scatter, shard-boundary crossing, consume after
+// re-restriction, live-neighbor compaction).
 #include "src/dist/neighbor_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/coloring/problem.hpp"
+#include "src/coloring/conflict.hpp"
 #include "src/core/solver.hpp"
 #include "src/graph/builder.hpp"
 #include "src/graph/generators.hpp"
@@ -27,14 +28,11 @@ using test_support::smoke_scenarios;
 
 const int kShardCounts[] = {1, 2, 7};
 
+// The hub input: a 2000-leaf star's rows hold ~4M entries, every edge
+// adjacent to every other.
 TEST(NeighborCache, RowModeMatchesBruteForceRescan) {
-  expect_cache_matches_rescan(make_random_regular(200, 8, 5), /*rescan_mode=*/false, /*stride=*/1);
-}
-
-// make_star(10000) fails fits() (HubHeavyGraphsFailTheMaterializationBudget
-// below): no rows, every sweep walks the full 9999-edge neighborhood.
-TEST(NeighborCache, RescanModeMatchesBruteForceRescan) {
-  expect_cache_matches_rescan(make_star(10000), /*rescan_mode=*/true, /*stride=*/97);
+  expect_cache_matches_rescan(make_random_regular(200, 8, 5), /*stride=*/1);
+  expect_cache_matches_rescan(make_star(2000), /*stride=*/97);
 }
 
 // The cache telemetry is itself deterministic: every shard count reports the
@@ -74,7 +72,7 @@ TEST(NeighborCache, ConsumeRemovesFinalizedNeighborColorExactlyOnce) {
   const Graph g = make_path(5);
   ASSERT_EQ(g.num_edges(), 4);
   EdgeColoring final(4, kUncolored);
-  NeighborColorCache cache(g, final, serial_backend());
+  NeighborColorCache cache(LineGraphConflict(g, EdgeSubset::all(g)), final, serial_backend());
   EXPECT_EQ(cache.live_degree_bound(0), g.edge_degree(0));
 
   final[1] = 7;
@@ -95,8 +93,8 @@ TEST(NeighborCache, ConsumeRemovesFinalizedNeighborColorExactlyOnce) {
   EXPECT_EQ(cache.colors_removed(), 1);
 }
 
-// Boundary crossing: a sharded cache (rows filled over the unique-writer
-// edge ranges, deltas noted on different lanes) behaves identically to the
+// Boundary crossing: a sharded cache (rows built on the sharded backend,
+// deltas noted on different lanes) behaves identically to the
 // serial cache when finalized edges sit at shard boundaries — the live rows,
 // consume results and telemetry all match.
 TEST(NeighborCache, BoundaryFinalizationsMatchSerialAcrossShardCounts) {
@@ -105,8 +103,10 @@ TEST(NeighborCache, BoundaryFinalizationsMatchSerialAcrossShardCounts) {
   for (const int shards : {2, 7}) {
     const ExecBackend backend(g, shards, pool);
     EdgeColoring final(static_cast<std::size_t>(g.num_edges()), kUncolored);
-    NeighborColorCache sharded_cache(g, final, backend);
-    NeighborColorCache serial_cache(g, final, serial_backend());
+    NeighborColorCache sharded_cache(LineGraphConflict(g, EdgeSubset::all(g), &backend), final,
+                                     backend);
+    NeighborColorCache serial_cache(LineGraphConflict(g, EdgeSubset::all(g)), final,
+                                    serial_backend());
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       ASSERT_EQ(sharded_cache.live_degree_bound(e), serial_cache.live_degree_bound(e));
     }
@@ -145,7 +145,7 @@ TEST(NeighborCache, BoundaryFinalizationsMatchSerialAcrossShardCounts) {
 TEST(NeighborCache, ConsumeAfterRestrictionIsANoOpForDroppedColors) {
   const Graph g = make_path(4);  // edges e0, e1, e2
   EdgeColoring final(3, kUncolored);
-  NeighborColorCache cache(g, final, serial_backend());
+  NeighborColorCache cache(LineGraphConflict(g, EdgeSubset::all(g)), final, serial_backend());
 
   final[1] = 50;
   cache.note_finalized(0, 1);
@@ -166,7 +166,7 @@ TEST(NeighborCache, ConsumeAfterRestrictionIsANoOpForDroppedColors) {
 TEST(NeighborCache, LiveNeighborsMatchFilteredFullWalkAndDeferColors) {
   const Graph g = make_gnp(24, 0.3, 9);
   EdgeColoring final(static_cast<std::size_t>(g.num_edges()), kUncolored);
-  NeighborColorCache cache(g, final, serial_backend());
+  NeighborColorCache cache(LineGraphConflict(g, EdgeSubset::all(g)), final, serial_backend());
 
   // Finalize every third edge.
   EdgeSubset uncolored(g.num_edges());
@@ -205,23 +205,6 @@ TEST(NeighborCache, LiveNeighborsMatchFilteredFullWalkAndDeferColors) {
     EXPECT_TRUE(cache.pending(e).empty());
     for (const Color c : expected_deferred) EXPECT_FALSE(list.contains(c));
   }
-}
-
-// The materialization budget: hub-heavy graphs whose live rows would dwarf
-// the graph (Theta(sum of deg^2)) put the cache in rescan mode instead of
-// allocating the rows.
-TEST(NeighborCache, HubHeavyGraphsFailTheMaterializationBudget) {
-  // Star payload is leaves*(leaves-1); 10000 leaves -> ~1e8 row entries,
-  // over both budget arms (absolute cap and 64x the edge count) — building
-  // the rows there would dwarf the O(m) graph, so such caches run in rescan
-  // mode (RescanModeMatchesBruteForceRescan pins it).
-  EXPECT_FALSE(NeighborColorCache::fits(make_star(10000)));
-  // Bounded-degree and modest-degree graphs stay comfortably inside.
-  EXPECT_TRUE(NeighborColorCache::fits(make_cycle(10000)));
-  EXPECT_TRUE(NeighborColorCache::fits(make_random_regular(1000, 8, 3)));
-  // A dense-but-small graph passes via the absolute cap even though its
-  // average edge degree exceeds the factor arm.
-  EXPECT_TRUE(NeighborColorCache::fits(make_complete(200)));
 }
 
 }  // namespace

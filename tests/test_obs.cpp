@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/core/solver.hpp"
+#include "src/graph/generators.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/scenarios.hpp"
@@ -237,6 +238,40 @@ TEST(ObsTrace, InstanceKeyIsHashedOncePerSharedInstance) {
   }
   EXPECT_EQ(key_spans, 1);
   EXPECT_EQ(fingerprint_spans, 4);
+}
+
+// One line graph per solve: Solver::run builds the full graph's adjacency
+// once (Linial reads it, then the engine's cache adopts it), and every other
+// "line-graph" span is the one view a base case builds of its own subset.
+// So outside the base cases there is exactly one build, the first span.
+TEST(ObsTrace, OneFullLineGraphBuildPerSolve) {
+  for (const Graph& g : {make_random_regular(64, 12, 5), make_cycle(40)}) {
+    const ListEdgeColoringInstance instance = make_two_delta_instance(g);
+    trace::start(4096);
+    const SolveResult res = Solver().solve(instance);
+    trace::stop();
+    ASSERT_EQ(res.stats.virtual_instances, 0);  // child engines build their own
+    std::vector<trace::TraceEvent> basecases;
+    std::vector<trace::TraceEvent> builds;
+    for (const trace::TraceEvent& ev : trace::snapshot_events()) {
+      const std::string name(ev.name);
+      if (name == "basecase") basecases.push_back(ev);
+      if (name == "line-graph") {
+        EXPECT_EQ(std::string(ev.cat), "engine");
+        builds.push_back(ev);
+      }
+    }
+    EXPECT_EQ(static_cast<std::int64_t>(builds.size()), 1 + res.stats.basecase_calls);
+    int outside = 0;
+    for (const trace::TraceEvent& b : builds) {
+      bool inside = false;
+      for (const trace::TraceEvent& c : basecases) {
+        inside = inside || (c.ts_us <= b.ts_us && b.ts_us + b.dur_us <= c.ts_us + c.dur_us);
+      }
+      outside += inside ? 0 : 1;
+    }
+    EXPECT_EQ(outside, 1) << g.num_edges() << " edges";
+  }
 }
 
 // ------------------------------------------- determinism of the registry ---

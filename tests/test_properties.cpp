@@ -237,7 +237,6 @@ TEST(PropertyFuzz, CacheOnOffBitIdenticalAcrossRandomGraphSweep) {
     EXPECT_TRUE(is_proper_edge_coloring(instance.graph, res.colors));
     EXPECT_TRUE(is_valid_list_coloring(instance, res.colors));
     test_support::expect_cache_matches_rescan(instance.graph, res.colors, instance.lists,
-                                              !NeighborColorCache::fits(instance.graph),
                                               /*stride=*/1);
   }
   EXPECT_GE(swept, 25);  // the sweep must not silently degenerate
@@ -249,7 +248,7 @@ TEST(PropertyFuzz, CacheOnOffBitIdenticalAcrossRandomGraphSweep) {
 // solve, and that solve must be a proper list coloring.  The tier only skips
 // pure-assert walks and shards only re-partition edge-owned work; nothing an
 // edge observes may change.
-TEST(PropertyFuzz, FusionAndValidationTierBitIdenticalAcrossRandomSweep) {
+TEST(PropertyFuzz, ValidationTierAndShardsBitIdenticalAcrossRandomSweep) {
   ThreadPool pool(3);
   int swept = 0;
   for (const Scenario& scenario : random_graph_sweep()) {

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/coloring/initial.hpp"
 #include "src/coloring/validate.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/io.hpp"
@@ -305,10 +306,7 @@ TEST(SolveServiceSource, DimacsFileEndToEnd) {
   // Local reference: identical read/scramble/build pipeline, direct solve.
   std::ifstream in(path);
   Graph g = read_edge_list(in);
-  g = g.with_scrambled_ids(
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(g.num_nodes()) *
-                                     std::max(1, g.num_nodes())),
-      7);
+  g = g.with_scrambled_ids(scrambled_id_space(static_cast<std::uint64_t>(g.num_nodes())), 7);
   const ListEdgeColoringInstance instance = make_two_delta_instance(g);
   const SolveResult reference = Solver().solve(instance);
 
@@ -320,6 +318,24 @@ TEST(SolveServiceSource, DimacsFileEndToEnd) {
   EXPECT_EQ(out.num_edges, 6);
   EXPECT_EQ(out.colors_hash, hash_coloring(reference.colors));
   EXPECT_EQ(out.result.rounds, reference.rounds);
+  std::remove(path.c_str());
+}
+
+// Past 65,535 nodes an n^2 id space no longer fits the initial palette; the
+// scramble clamps to its limit, so a 70,000-node path still solves.
+TEST(SolveServiceSource, ScrambledIdsPastSixteenBitsOfNodesSolve) {
+  const std::string path = testing::TempDir() + "/qplec_service_long_path.dimacs";
+  const int n = 70000;
+  {
+    std::ofstream out(path);
+    out << "p edge " << n << " " << n - 1 << "\n";
+    for (int v = 1; v < n; ++v) out << "e " << v << " " << v + 1 << "\n";
+  }
+  SolveService service;
+  const SolveOutcome out = service.solve(SolveRequest::from_dimacs(path).scramble_ids(11));
+  EXPECT_EQ(out.status, SolveStatus::kOk) << out.error;
+  EXPECT_TRUE(out.valid);
+  EXPECT_EQ(out.num_edges, n - 1);
   std::remove(path.c_str());
 }
 

@@ -93,9 +93,7 @@ TEST(Validate, ProperOnConflictView) {
   std::vector<int> good{0, 1, 0, 1};
   std::vector<int> bad{0, 0, 1, 0};
   EXPECT_TRUE(is_proper_on_conflict(view, good));
-  std::string why;
-  EXPECT_FALSE(is_proper_on_conflict(view, bad, &why));
-  EXPECT_FALSE(why.empty());
+  EXPECT_FALSE(is_proper_on_conflict(view, bad));
 }
 
 }  // namespace
