@@ -1,6 +1,8 @@
 #include "src/graph/builder.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <vector>
 
 namespace qplec {
 
@@ -13,6 +15,11 @@ GraphBuilder& GraphBuilder::add_edge(NodeId u, NodeId v) {
   QPLEC_REQUIRE_MSG(v >= 0 && v < num_nodes_, "endpoint " << v << " out of range");
   QPLEC_REQUIRE_MSG(u != v, "self-loop at node " << u);
   pending_.push_back(u < v ? EdgeEndpoints{u, v} : EdgeEndpoints{v, u});
+  return *this;
+}
+
+GraphBuilder& GraphBuilder::reserve(std::size_t count) {
+  pending_.reserve(pending_.size() + count);
   return *this;
 }
 
@@ -44,39 +51,72 @@ GraphBuilder& GraphBuilder::set_local_ids(std::vector<std::uint64_t> ids,
 }
 
 Graph GraphBuilder::build() const {
-  std::vector<EdgeEndpoints> edges = pending_;
-  std::sort(edges.begin(), edges.end(), [](const EdgeEndpoints& a, const EdgeEndpoints& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  const auto n = static_cast<std::size_t>(num_nodes_);
+  const auto at = [](NodeId v) { return static_cast<std::size_t>(v); };
+
+  // Two counting sorts, an LSD radix sort over node ids: group the lower
+  // endpoints by upper endpoint, then deal the pairs, by ascending upper
+  // endpoint, into buckets by lower endpoint.  Bucket u of `upper`,
+  // [first[u], first[u+1]), then holds u's upper endpoints ascending with
+  // duplicates adjacent: the pairs in (u, v) order, with no comparison sort.
+  std::vector<std::size_t> by_upper(n + 1, 0);
+  std::vector<std::size_t> first(n + 1, 0);
+  for (const EdgeEndpoints& e : pending_) {
+    ++by_upper[at(e.v) + 1];
+    ++first[at(e.u) + 1];
+  }
+  std::partial_sum(by_upper.begin(), by_upper.end(), by_upper.begin());
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<NodeId> lower(pending_.size());
+  {
+    std::vector<std::size_t> fill(by_upper.begin(), by_upper.end() - 1);
+    for (const EdgeEndpoints& e : pending_) lower[fill[at(e.v)]++] = e.u;
+  }
+  std::vector<NodeId> upper(pending_.size());
+  {
+    std::vector<std::size_t> fill(first.begin(), first.end() - 1);
+    for (std::size_t v = 0; v < n; ++v) {
+      for (std::size_t i = by_upper[v]; i < by_upper[v + 1]; ++i) {
+        upper[fill[at(lower[i])]++] = static_cast<NodeId>(v);
+      }
+    }
+  }
+
+  // Drop the duplicates, compacting in place: a pair's position is its id.
+  std::size_t kept = 0;
+  for (std::size_t u = 0, begin = 0; u < n; ++u) {
+    const std::size_t end = first[u + 1];
+    NodeId previous = -1;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (upper[i] != previous) upper[kept++] = previous = upper[i];
+    }
+    first[u + 1] = kept;
+    begin = end;
+  }
 
   Graph g;
-  g.edges_ = edges;
-  g.offsets_.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
-  for (const auto& e : edges) {
-    ++g.offsets_[static_cast<std::size_t>(e.u) + 1];
-    ++g.offsets_[static_cast<std::size_t>(e.v) + 1];
+  g.edges_.resize(kept);
+  g.offsets_.assign(n + 1, 0);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t id = first[u]; id < first[u + 1]; ++id) {
+      g.edges_[id] = EdgeEndpoints{static_cast<NodeId>(u), upper[id]};
+      ++g.offsets_[u + 1];
+      ++g.offsets_[at(upper[id]) + 1];
+    }
   }
-  for (std::size_t i = 1; i < g.offsets_.size(); ++i) g.offsets_[i] += g.offsets_[i - 1];
+  std::partial_sum(g.offsets_.begin(), g.offsets_.end(), g.offsets_.begin());
 
+  // Fill the incidence CSR in edge-id order.  Node w then lists first its
+  // lower neighbors (edges of earlier buckets, ascending by bucket), then
+  // its upper neighbors (its own bucket, ascending): every list is sorted
+  // by neighbor, as find_edge's binary search needs, with no sort.
   g.adj_.resize(g.offsets_.back());
   std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (std::size_t id = 0; id < edges.size(); ++id) {
-    const auto& e = edges[id];
+  for (std::size_t id = 0; id < kept; ++id) {
+    const EdgeEndpoints& e = g.edges_[id];
     const auto eid = static_cast<EdgeId>(id);
-    g.adj_[cursor[static_cast<std::size_t>(e.u)]++] = Incidence{e.v, eid};
-    g.adj_[cursor[static_cast<std::size_t>(e.v)]++] = Incidence{e.u, eid};
-  }
-  // Within each node the incidences are produced in increasing edge-id order,
-  // which for a fixed node u is increasing (u, v) order only for the u-side;
-  // sort each adjacency list by neighbor so find_edge can binary search.
-  for (int v = 0; v < num_nodes_; ++v) {
-    auto begin =
-        g.adj_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[static_cast<std::size_t>(v)]);
-    auto end =
-        g.adj_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[static_cast<std::size_t>(v) + 1]);
-    std::sort(begin, end,
-              [](const Incidence& a, const Incidence& b) { return a.neighbor < b.neighbor; });
+    g.adj_[cursor[at(e.u)]++] = Incidence{e.v, eid};
+    g.adj_[cursor[at(e.v)]++] = Incidence{e.u, eid};
   }
 
   if (!local_ids_.empty()) {

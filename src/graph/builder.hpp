@@ -5,6 +5,11 @@
 // (u, v)-lexicographic order of the canonicalized endpoint pairs so that a
 // graph's edge ids are independent of insertion order (important for
 // reproducibility of experiments).
+//
+// build() is linear in nodes plus edges: two counting sorts (by upper, then
+// stably by lower endpoint) put the pairs in (u, v) order with duplicates
+// adjacent, and one fill of the incidence CSR in that edge-id order leaves
+// every incidence list ascending by neighbor, with no comparison sort.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +30,9 @@ class GraphBuilder {
   /// are deduplicated at build time.  Returns *this for chaining.
   GraphBuilder& add_edge(NodeId u, NodeId v);
 
+  /// Reserves room for `count` more add_edge calls.
+  GraphBuilder& reserve(std::size_t count);
+
   /// Number of edges added so far (before deduplication).
   std::size_t num_pending_edges() const { return pending_.size(); }
 
@@ -41,7 +49,8 @@ class GraphBuilder {
   /// a graph bit-identical to a remote original.
   GraphBuilder& set_local_ids(std::vector<std::uint64_t> ids, std::uint64_t max_local_id);
 
-  /// Builds the immutable graph.  The builder may be reused afterwards.
+  /// Builds the immutable graph: edge ids in (u, v) order, each node's
+  /// incidences sorted by neighbor.  The builder may be reused afterwards.
   Graph build() const;
 
  private:

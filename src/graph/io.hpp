@@ -6,9 +6,17 @@
 //     down automatically);
 //   * DIMACS: "p edge n m" header and "e u v" edge lines, 1-based ids.
 // '#' lines and DIMACS 'c' comment lines are ignored everywhere.  Malformed
-// input, including a header declaring more than kMaxEdgeListNodes nodes,
-// raises std::invalid_argument naming the offending line.  This is the
-// interchange format the examples use to load custom topologies.
+// input, including a self-loop and a header declaring more than
+// kMaxEdgeListNodes nodes, raises std::invalid_argument naming the offending
+// line.  This is the interchange format the examples use to load custom
+// topologies.
+//
+// Parsing is one forward pass over one buffer: lines split at '\n' with
+// memchr, numbers read with std::from_chars.  Fields follow `std::istream >>`
+// in the classic locale: any isspace byte separates (so CRLF, \t, \v and \f
+// do), a number takes an optional '+' or '-' sign and leading zeros and ends
+// at its first non-digit byte.  Only ' ', \t and \r count as blank when
+// deciding whether a line is empty or a comment.
 #pragma once
 
 #include <iosfwd>
@@ -23,14 +31,17 @@ namespace qplec {
 /// cannot narrow into a negative int or exhaust memory.
 inline constexpr long long kMaxEdgeListNodes = 1LL << 24;
 
-/// Parses a graph from an edge-list stream.  Throws std::invalid_argument on
-/// malformed input.
+/// Reads the rest of `in` into one string (empty when `in` is not good).
+std::string read_all(std::istream& in);
+
+/// Parses a graph from an edge-list stream: read_all, then parse_edge_list.
+/// Throws std::invalid_argument on malformed input.
 Graph read_edge_list(std::istream& in);
 
 /// Writes g in the edge-list format.
 void write_edge_list(const Graph& g, std::ostream& out);
 
-/// Convenience: parse from a string.
+/// Parses a graph from edge-list text held in memory.
 Graph parse_edge_list(const std::string& text);
 
 }  // namespace qplec

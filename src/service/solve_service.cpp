@@ -937,6 +937,8 @@ void SolveService::run_job(SolveTicket::Job& job) const {
   std::shared_ptr<const ListEdgeColoringInstance> built;
   const auto build_start = Clock::now();
   try {
+    // A DIMACS build explains itself: build = read + parse + scramble + lists.
+    const trace::Span build_span("build", "service");
     switch (req.source_) {
       case SolveRequest::Source::kInstance:
         built = req.instance();
@@ -947,14 +949,20 @@ void SolveService::run_job(SolveTicket::Job& job) const {
       case SolveRequest::Source::kDimacs: {
         Graph g;
         {
-          const trace::Span span("parse", "service");
-          std::ifstream in(req.path_);
-          if (!in) throw std::invalid_argument("cannot open " + req.path_);
-          g = read_edge_list(in);
-          if (req.scramble_) {
-            g = g.with_scrambled_ids(
-                scrambled_id_space(static_cast<std::uint64_t>(g.num_nodes())), req.scramble_seed_);
+          std::string text;
+          {
+            const trace::Span span("read", "service");
+            std::ifstream in(req.path_);
+            if (!in) throw std::invalid_argument("cannot open " + req.path_);
+            text = read_all(in);
           }
+          const trace::Span span("parse", "service");
+          g = parse_edge_list(text);
+        }
+        if (req.scramble_) {
+          const trace::Span span("scramble", "service");
+          g = g.with_scrambled_ids(
+              scrambled_id_space(static_cast<std::uint64_t>(g.num_nodes())), req.scramble_seed_);
         }
         const trace::Span span("lists", "service");
         built = std::make_shared<const ListEdgeColoringInstance>(
@@ -972,10 +980,6 @@ void SolveService::run_job(SolveTicket::Job& job) const {
     return;
   }
   out.build_ms = ms_since(build_start);
-  if (trace::enabled()) {
-    const auto us = static_cast<std::int64_t>(out.build_ms * 1000.0);
-    trace::complete("build", "service", trace::now_us() - us, us);
-  }
   const ListEdgeColoringInstance& instance = *built;
   out.num_nodes = instance.graph.num_nodes();
   out.num_edges = instance.graph.num_edges();
@@ -1066,6 +1070,7 @@ void SolveService::run_churn_job(SolveTicket::Job& job) const {
   RecolorPlan plan;
   const auto build_start = Clock::now();
   try {
+    const trace::Span build_span("build", "service");
     plan = plan_recolor(*base->instance, base->colors, req.churn_ops_.ops);
   } catch (const std::exception& e) {
     out.status = SolveStatus::kInvalidInstance;
@@ -1073,10 +1078,6 @@ void SolveService::run_churn_job(SolveTicket::Job& job) const {
     return;
   }
   out.build_ms = ms_since(build_start);
-  if (trace::enabled()) {
-    const auto us = static_cast<std::int64_t>(out.build_ms * 1000.0);
-    trace::complete("build", "service", trace::now_us() - us, us);
-  }
   out.num_nodes = plan.mutated.graph.num_nodes();
   out.num_edges = plan.mutated.graph.num_edges();
   out.max_degree = plan.mutated.graph.max_degree();

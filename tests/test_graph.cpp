@@ -6,8 +6,11 @@
 #include <chrono>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "src/coloring/initial.hpp"
+#include "src/common/rng.hpp"
 #include "src/graph/builder.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/io.hpp"
@@ -49,6 +52,88 @@ TEST(GraphBuilder, EdgeIdsIndependentOfInsertionOrder) {
   ASSERT_EQ(g1.num_edges(), g2.num_edges());
   for (EdgeId e = 0; e < g1.num_edges(); ++e) {
     EXPECT_EQ(g1.endpoints(e), g2.endpoints(e));
+  }
+}
+
+// The bucketed build against a std::set-of-pairs reference: edge ids are the
+// distinct canonical pairs in (u, v) order, each node's incidences are its
+// (neighbor, edge) pairs ascending by neighbor (find_edge binary-searches
+// them), and the result depends on neither insertion order nor orientation.
+TEST(GraphBuilder, LinearBuildMatchesBruteForceReference) {
+  Rng rng(2024);
+  for (int round = 0; round < 60; ++round) {
+    const int n = round < 2 ? round : 2 + static_cast<int>(rng.next_below(40));
+    std::vector<std::pair<NodeId, NodeId>> added;
+    if (n >= 2) {
+      const int draws = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(3 * n)));
+      for (int i = 0; i < draws; ++i) {
+        // Every third round draws from the lower half only: isolated nodes.
+        const auto hi = static_cast<std::uint64_t>(round % 3 == 0 ? (n + 1) / 2 : n);
+        const auto u = static_cast<NodeId>(rng.next_below(hi));
+        const auto v = static_cast<NodeId>(rng.next_below(hi));
+        if (u == v) continue;
+        added.emplace_back(u, v);
+        if (rng.next_below(3) == 0) added.emplace_back(v, u);  // duplicate, reversed
+      }
+    }
+    std::set<std::pair<NodeId, NodeId>> pairs;
+    for (const auto& [u, v] : added) pairs.emplace(std::min(u, v), std::max(u, v));
+    std::vector<std::vector<Incidence>> want(static_cast<std::size_t>(n));
+    EdgeId id = 0;
+    for (const auto& [u, v] : pairs) {
+      want[static_cast<std::size_t>(u)].push_back({v, id});
+      want[static_cast<std::size_t>(v)].push_back({u, id});
+      ++id;
+    }
+    for (auto& list : want) {
+      std::sort(list.begin(), list.end(),
+                [](const Incidence& a, const Incidence& b) { return a.neighbor < b.neighbor; });
+    }
+
+    const Graph isolated = GraphBuilder(n).build();
+    const Graph ids_from =
+        n > 0 ? isolated.with_scrambled_ids(static_cast<std::uint64_t>(n) * 4, 9) : isolated;
+    for (int order = 0; order < 3; ++order) {
+      rng.shuffle(added);
+      GraphBuilder b(n);
+      for (const auto& [u, v] : added) b.add_edge(u, v);
+      if (order == 2) b.carry_local_ids(ids_from);
+      const Graph g = b.build();
+      ASSERT_EQ(g.num_nodes(), n);
+      ASSERT_EQ(g.num_edges(), static_cast<int>(pairs.size()));
+      id = 0;
+      for (const auto& [u, v] : pairs) {
+        EXPECT_EQ(g.endpoints(id), (EdgeEndpoints{u, v})) << "edge " << id;
+        EXPECT_EQ(g.find_edge(v, u), id);
+        ++id;
+      }
+      int max_degree = 0;
+      for (NodeId w = 0; w < n; ++w) {
+        const auto inc = g.incident(w);
+        const auto& ref = want[static_cast<std::size_t>(w)];
+        ASSERT_EQ(inc.size(), ref.size()) << "node " << w;
+        for (std::size_t i = 0; i < inc.size(); ++i) {
+          EXPECT_EQ(inc[i].neighbor, ref[i].neighbor) << "node " << w << " slot " << i;
+          EXPECT_EQ(inc[i].edge, ref[i].edge) << "node " << w << " slot " << i;
+          if (i > 0) {
+            EXPECT_LT(inc[i - 1].neighbor, inc[i].neighbor);
+          }
+        }
+        max_degree = std::max(max_degree, static_cast<int>(ref.size()));
+        EXPECT_EQ(g.local_id(w),
+                  order == 2 ? ids_from.local_id(w) : static_cast<std::uint64_t>(w) + 1);
+      }
+      EXPECT_EQ(g.max_degree(), max_degree);
+      EXPECT_EQ(g.max_local_id(),
+                order == 2 ? ids_from.max_local_id() : static_cast<std::uint64_t>(n));
+      int max_edge_degree = 0;
+      for (const auto& [u, v] : pairs) {
+        const std::size_t d = want[static_cast<std::size_t>(u)].size() +
+                              want[static_cast<std::size_t>(v)].size() - 2;
+        max_edge_degree = std::max(max_edge_degree, static_cast<int>(d));
+      }
+      EXPECT_EQ(g.max_edge_degree(), max_edge_degree);
+    }
   }
 }
 

@@ -87,6 +87,11 @@ TEST(GraphIo, MalformedInputsNameTheProblem) {
   expect_parse_error("e 1 2\n", "before a 'p edge' header");
   expect_parse_error("p matrix 3 1\ne 1 2\n", "unsupported DIMACS problem line");
   expect_parse_error("3 1\np edge 3 1\n", "duplicate header");
+  // A self-loop is the input's fault: it names its line, not a builder
+  // precondition and its source file.
+  expect_parse_error("p edge 3 1\ne 1 1\n", "line 2: self-loop at node 1: \"e 1 1\"");
+  expect_parse_error("3 1\n0 0\n", "line 2: self-loop at node 0: \"0 0\"");
+  expect_parse_error("# one-based\n3 1\n3 3\n", "line 3: self-loop at node 3");
 }
 
 TEST(GraphIo, HostileNodeCountRejectedBeforeAllocation) {

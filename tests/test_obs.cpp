@@ -17,11 +17,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/solver.hpp"
 #include "src/graph/generators.hpp"
+#include "src/graph/io.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/scenarios.hpp"
@@ -238,6 +243,43 @@ TEST(ObsTrace, InstanceKeyIsHashedOncePerSharedInstance) {
   }
   EXPECT_EQ(key_spans, 1);
   EXPECT_EQ(fingerprint_spans, 4);
+}
+
+// A DIMACS build explains itself: one `build` span holds, in order, `read`
+// (file to buffer), `parse` (buffer to Graph), `scramble` (only when the
+// request scrambles its ids) and `lists`, each once and none overlapping.
+TEST(ObsTrace, DimacsBuildSplitsIntoReadParseScrambleLists) {
+  const std::string path = testing::TempDir() + "/qplec_obs_build.dimacs";
+  {
+    std::ofstream file(path, std::ios::trunc);
+    write_edge_list(make_random_regular(40, 6, 3), file);
+  }
+  SolveService service(ExecConfig{.workers = 1});
+  for (const bool scramble : {false, true}) {
+    SolveRequest request = SolveRequest::from_dimacs(path).no_cache();
+    if (scramble) request.scramble_ids(7);
+    trace::start(4096);
+    const SolveOutcome out = service.solve(std::move(request));
+    trace::stop();
+    ASSERT_TRUE(out.ok()) << out.error;
+    std::map<std::string, std::vector<trace::TraceEvent>> spans;
+    for (const trace::TraceEvent& ev : trace::snapshot_events()) {
+      if (std::string(ev.cat) == "service") spans[ev.name].push_back(ev);
+    }
+    ASSERT_EQ(spans["build"].size(), 1u);
+    EXPECT_EQ(spans["scramble"].size(), scramble ? 1u : 0u);
+    const trace::TraceEvent build = spans["build"][0];
+    std::int64_t end_of_previous = build.ts_us;
+    for (const char* name : {"read", "parse", "scramble", "lists"}) {
+      if (!scramble && std::string(name) == "scramble") continue;
+      ASSERT_EQ(spans[name].size(), 1u) << name;
+      const trace::TraceEvent& child = spans[name][0];
+      EXPECT_GE(child.ts_us, end_of_previous) << name;
+      end_of_previous = child.ts_us + child.dur_us;
+    }
+    EXPECT_LE(end_of_previous, build.ts_us + build.dur_us);
+  }
+  std::remove(path.c_str());
 }
 
 // One line graph per solve: Solver::run builds the full graph's adjacency

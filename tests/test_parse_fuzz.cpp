@@ -12,6 +12,10 @@
 // sign before a number, a number widened to 20 digits (past int64 and
 // uint64), a NUL inserted or overwritten at every byte, and a header whose
 // edge count m lies.
+//
+// The same mutants, plus hand-written field-rule cases, also run through
+// the per-line istringstream parser the one-pass parser replaced
+// (tests/support/edge_list_oracle.hpp): both must agree on every text.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -28,6 +32,7 @@
 #include "src/graph/io.hpp"
 #include "src/service/churn.hpp"
 #include "src/service/solve_service.hpp"
+#include "tests/support/edge_list_oracle.hpp"
 
 namespace qplec {
 namespace {
@@ -132,6 +137,119 @@ TEST(ParseFuzz, EdgeListMutantsParseOrThrowInvalidArgument) {
   // Both outcomes occur: the unmutated texts parse, the lying headers do not.
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
+}
+
+/// Hand-written edge cases of the field rules: signs, leading zeros, 20-digit
+/// ids, every isspace separator, CRLF, a missing final newline, NUL bytes,
+/// every comment form, whitespace-only lines and self-loops.
+std::vector<std::string> field_rule_texts() {
+  using namespace std::string_literals;
+  std::vector<std::string> texts = {
+      "3 2\n+0 +1\n001 0002\n", "+3 1\n0 1\n", "003 001\n0 1\n", "3 1\n-0 1\n", "-0 0\n",
+      "3 1\n0 +-1\n", "3 1\n0 -+1\n", "3 1\n+ 1 2\n", "3 1\n0 - 1\n", "3 1\n1+2\n", "3 1\n0-1\n",
+      "3 1\n0 1.5\n", "3 1\n0x1 2\n", "p edge 3 2\ne +1 2\ne 002 +03\n", "p edge +3 1\ne 1 2\n",
+      "p edge 3 1\ne -1 2\n", "p edge 3 1\ne 1+2\n",
+      // 20-digit ids and the edges of long long.
+      "3 1\n00000000000000000001 2\n", "3 1\n99999999999999999999 1\n",
+      "3 1\n18446744073709551616 1\n", "3 1\n9223372036854775807 1\n",
+      "3 1\n9223372036854775808 1\n", "3 1\n-9223372036854775808 1\n",
+      "3 1\n-9223372036854775809 1\n", "9223372036854775807 1\n0 1\n",
+      "p edge 3 00000000000000000001\ne 1 2\n", "p edge 3 1\ne 1 99999999999999999999\n",
+      // Separators and line ends.
+      "3\t2\n0\t1\n1\v2\n", "3 2\n0\f1\r\n1 2\r\n", "3 2\r\n0 1\r\n1 2\r\n",
+      "p\tedge\t3\t1\ne\v1\f2\r\n", "p edge 3 1\r\ne 1 2\r\n", "\v3 1\n0 1\n", "3 1\n\f0 1\n",
+      "3 1\n0 1\r\r\n", "3 1\n0 1\v\n", "3 1\n0\r1\n",
+      // No final newline.
+      "3 1\n0 1", "p edge 3 1\ne 1 2", "3 1\n0 1\n#", "3 1\n0 1\n ", "3 1", "3 0",
+      // NUL bytes.
+      "3 1\n0 1\0\n"s, "3 1\n0\0 1\n"s, "\0\n3 1\n0 1\n"s, "3 1\n0 1\n\0"s, "3 1\0\n0 1\n"s,
+      "p edge 3 1\ne\0 1 2\n"s, "c\0\n3 1\n0 1\n"s, "#\0\n3 1\n0 1\n"s,
+      // Comment forms.
+      "#\n3 1\n0 1\n", "# x\n3 1\n# y\n0 1\n#\n", "  # x\n3 1\n\t#x\n0 1\n", "c\n3 1\n0 1\n",
+      "c x\n3 1\nc\ty\n0 1\n", "c\r\np edge 3 1\nc\ne 1 2\n", " c x\n\tc\n3 1\n0 1\n",
+      "cx\n3 1\n0 1\n", "3 1\ncx\n0 1\n", "\vc x\n3 1\n0 1\n", "c\vx\n3 1\n0 1\n",
+      "c\fx\n3 1\n0 1\n", "3 1\n0 1 # x\n", "3 1\n0 1# x\n", "p edge 3 1 c\ne 1 2\n",
+      "p edge 3 1\ne 1 2 c\n", "#c\np edge 3 1\ne 1 2\n",
+      // Whitespace-only lines.
+      "\n3 1\n\n0 1\n\n", " \n3 1\n \n0 1\n", "\t\n3 1\n\t\n0 1\n", "\r\n3 1\n\r\n0 1\n",
+      "\v\n3 1\n0 1\n", "3 1\n\v\n0 1\n", "3 1\n\f\n0 1\n", " \t\r\n3 1\n0 1\n \t\r",
+      "3 1\n0 1\n\v", "",
+      // Self-loops, alone and before a later error.
+      "3 1\n0 0\n", "3 1\n3 3\n", "p edge 3 1\ne 1 1\n", "3 2\n0 0\n0 x\n", "3 2\n1 1\n1 3\n",
+      "p edge 3 2\ne 2 2\ne 1 4\n",
+      // Headers and tags.
+      "p\n", "p edge\n", "p edge 3\n", "pedge 3 1\n", "p edges 3 1\n", "p col 3 1\ne 1 2\n",
+      "p edge 3 1 1\n", "e 1 2\n", "3 1\ne 1 2\n", "p edge 3 1\ne1 2\n", "p edge 3 1\nee 1 2\n",
+      "p edge 3 1\n1 2\n", "3 1\np edge 3 1\n", "3 1 1\n0 1\n", "3 -1\n"};
+  return texts;
+}
+
+/// The line number an edge-list error names, or -1.
+long long error_line(const std::string& what) {
+  const std::string tag = "edge list, line ";
+  if (what.rfind(tag, 0) != 0) return -1;
+  return std::stoll(what.substr(tag.size()));
+}
+
+// The one-pass from_chars parser against the per-line istringstream parser it
+// replaced: the same verdict on every text; the same graph (edge ids,
+// incidence order, local ids) when both accept; the same error when both
+// reject, except that the new parser rejects a self-loop at its own line,
+// where the oracle leaves it to GraphBuilder's precondition.
+TEST(ParseFuzz, OnePassParserMatchesLineStreamOracle) {
+  std::vector<std::string> texts = edge_list_mutants();
+  for (std::string& text : field_rule_texts()) texts.push_back(std::move(text));
+  int accepted = 0;
+  int self_loops = 0;
+  for (const std::string& text : texts) {
+    std::string got_error;
+    std::string want_error;
+    Graph got;
+    Graph want;
+    try {
+      got = parse_edge_list(text);
+    } catch (const std::invalid_argument& e) {
+      got_error = e.what();
+    }
+    try {
+      want = test_support::oracle_parse_edge_list(text);
+    } catch (const std::invalid_argument& e) {
+      want_error = e.what();
+    }
+    ASSERT_EQ(got_error.empty(), want_error.empty())
+        << "on \"" << printable(text) << "\": new \"" << printable(got_error) << "\", oracle \""
+        << printable(want_error) << "\"";
+    if (got_error.empty()) {
+      ++accepted;
+      ASSERT_EQ(got.num_nodes(), want.num_nodes()) << printable(text);
+      ASSERT_EQ(got.num_edges(), want.num_edges()) << printable(text);
+      for (EdgeId e = 0; e < got.num_edges(); ++e) {
+        EXPECT_EQ(got.endpoints(e), want.endpoints(e)) << printable(text);
+      }
+      for (NodeId v = 0; v < got.num_nodes(); ++v) {
+        const auto a = got.incident(v);
+        const auto b = want.incident(v);
+        ASSERT_EQ(a.size(), b.size()) << printable(text);
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          EXPECT_EQ(a[i].neighbor, b[i].neighbor) << printable(text);
+          EXPECT_EQ(a[i].edge, b[i].edge) << printable(text);
+        }
+        EXPECT_EQ(got.local_id(v), want.local_id(v)) << printable(text);
+      }
+      EXPECT_EQ(got.max_local_id(), want.max_local_id()) << printable(text);
+    } else if (got_error.find(": self-loop at node ") != std::string::npos) {
+      ++self_loops;
+      // The oracle fails later: at a later line, or after the last one.
+      const long long line = error_line(want_error);
+      EXPECT_TRUE(line < 0 || line > error_line(got_error))
+          << "on \"" << printable(text) << "\": new \"" << printable(got_error)
+          << "\", oracle \"" << printable(want_error) << "\"";
+    } else {
+      EXPECT_EQ(printable(got_error), printable(want_error)) << "on \"" << printable(text) << "\"";
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(self_loops, 0);
 }
 
 TEST(ParseFuzz, ChurnMutantsParseOrThrowInvalidArgument) {

@@ -3,7 +3,8 @@
 
     python3 tools/bench_pairs.py --parent REV --workload W[,W...] --pairs N --out FILE
                                  [--seed S] [--seconds T] [--trace 0|1]
-                                 [--work-dir DIR]
+                                 [--work-dir DIR] [--history HISTORY --pr ID]
+    python3 tools/bench_pairs.py --summary FILE --history HISTORY --pr ID
 
 Extracts commit REV into a temporary directory (`git archive`, so nothing is
 registered in the repository's .git) and, for each listed workload in turn,
@@ -27,6 +28,15 @@ docs/BENCHMARKS.md: the change wins at least nine tenths of the pairs and its
 median beats the parent's by more than the parent's interquartile range.
 Exits 1 if any run failed to produce a result line, else 2 if `regressions`
 is not empty.
+
+With --history, the run's end-to-end medians are also appended to HISTORY
+(the repository keeps BENCH_history.jsonl), one JSON line per (change,
+workload, metric): the change's id (--pr), the parent commit, the parent and
+change medians, the unit, the wins and the pair count.  So the perf
+trajectory across changes is readable from the repository, while FILE holds
+only the latest step.  --summary appends a summary FILE written earlier
+(for instance one read back with `git show REV:BENCH_pairs.json`) without
+running anything.
 """
 
 import argparse
@@ -133,6 +143,24 @@ def regressions(workload, metrics, bounds):
     return out
 
 
+def append_history(path, summary, pr, end_to_end):
+    """Appends one record per (workload, end-to-end metric) of a summary."""
+    with open(path, "a") as f:
+        for workload, report in summary["workloads"].items():
+            for name in end_to_end:
+                row = report["metrics"].get(name)
+                if row is None:
+                    continue
+                record = {"pr": pr, "parent": report["parent"], "workload": workload,
+                          "metric": name, "unit": row["unit"], "better": row["better"],
+                          "parent_median": row["parent"]["median"],
+                          "change_median": row["change"]["median"],
+                          "wins": row.get("wins"), "pairs": row["pairs"],
+                          "seed": report["seed"], "seconds": report["seconds"]}
+                f.write(json.dumps(record, sort_keys=True) + "\n")
+    log(f"appended {pr}'s end-to-end medians to {path}")
+
+
 def print_report(report, args):
     print(f"{report['workload']}: {args.pairs} pairs vs {report['parent'][:12]}, "
           f"seed {args.seed}, {args.seconds:g} s, trace {args.trace}")
@@ -152,15 +180,30 @@ def print_report(report, args):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="commit to compare against")
-    ap.add_argument("--workload", required=True, help="one workload or a comma-separated list")
-    ap.add_argument("--pairs", type=int, required=True, help="pairs per workload")
-    ap.add_argument("--out", required=True, help="JSON summary file")
+    ap.add_argument("--parent", help="commit to compare against")
+    ap.add_argument("--workload", help="one workload or a comma-separated list")
+    ap.add_argument("--pairs", type=int, help="pairs per workload")
+    ap.add_argument("--out", help="JSON summary file")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--trace", choices=["0", "1"], default="0")
     ap.add_argument("--work-dir", help="keeps both builds here (default: a temp dir)")
+    ap.add_argument("--history", help="JSON-lines file to append end-to-end medians to")
+    ap.add_argument("--pr", help="id of the measured change in --history records")
+    ap.add_argument("--summary", help="append this saved summary to --history; run nothing")
     args = ap.parse_args()
+    if (args.history is None) != (args.pr is None):
+        ap.error("--history and --pr go together")
+    if args.summary:
+        if not args.history:
+            ap.error("--summary needs --history and --pr")
+        with open(args.summary) as f:
+            append_history(args.history, json.load(f), args.pr, benchmark_spec()[1])
+        return 0
+    missing = [flag for flag in ("parent", "workload", "pairs", "out")
+               if getattr(args, flag) is None]
+    if missing:
+        ap.error("missing " + ", ".join("--" + flag for flag in missing))
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     workloads = [w for w in args.workload.split(",") if w]
@@ -209,6 +252,8 @@ def main():
     with open(args.out, "w") as f:
         json.dump(summary, f, indent=1)
         f.write("\n")
+    if args.history:
+        append_history(args.history, summary, args.pr, bounds)
 
     for report in reports.values():
         print_report(report, args)
