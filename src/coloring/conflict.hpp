@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/common/assert.hpp"
+#include "src/common/mapped_allocator.hpp"
 #include "src/dist/backend.hpp"
 #include "src/graph/graph.hpp"
 #include "src/graph/subset.hpp"
@@ -59,6 +60,9 @@ class ConflictView {
 
   /// The item occupying a slot.
   int item(int slot) const { return item_[static_cast<std::size_t>(slot)]; }
+
+  /// The active items, in slot order (ascending ids).
+  std::span<const int> items() const { return item_; }
 
   /// The neighbor slots of a slot, in enumeration order.
   std::span<const int> row(int slot) const {
@@ -88,10 +92,10 @@ class ConflictView {
     return s;
   }
 
-  std::vector<int> slot_;             ///< item -> slot (-1 inactive)
-  std::vector<int> item_;             ///< slot -> item
-  std::vector<std::size_t> offsets_;  ///< slot -> row bounds in nbrs_
-  std::vector<int> nbrs_;             ///< neighbor slots, row after row
+  std::vector<int> slot_;              ///< item -> slot (-1 inactive)
+  std::vector<int> item_;              ///< slot -> item
+  MappedVector<std::size_t> offsets_;  ///< slot -> row bounds in nbrs_
+  MappedVector<int> nbrs_;             ///< neighbor slots, row after row
 
  private:
   // The engine's cache adopts a full line graph's rows instead of refilling

@@ -8,14 +8,31 @@
 
 namespace qplec {
 
-void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& lists,
+namespace {
+
+// The lists a sweep over `view` reads: each active item's first deg(i) + 1
+// colors.  An item has at most deg(i) colored neighbors, so its pick — the
+// smallest color no neighbor holds — always lies in that prefix, and the
+// feasibility check |L_i| >= deg(i) + 1 reads the same either way.  A list
+// far longer than its degree (a slack instance) thus costs its degree.
+ListStore pick_lists(const ConflictView& view, const std::vector<ColorList>& lists) {
+  return ListStore::from_spans(view.num_items(), view.items(), [&](int i) {
+    const std::vector<Color>& colors = lists[static_cast<std::size_t>(i)].colors();
+    const std::size_t keep = static_cast<std::size_t>(view.degree(i)) + 1;
+    return std::span<const Color>(colors).first(std::min(colors.size(), keep));
+  });
+}
+
+}  // namespace
+
+void greedy_by_classes(const ConflictView& view, const ListStore& lists,
                        const std::vector<std::uint64_t>& phi, std::uint64_t palette,
                        std::vector<Color>& out, RoundLedger& ledger, const ExecBackend* exec,
                        const SolveControl* control, ValidationGate* gate, int batch_quantum) {
   const trace::Span span("greedy-sweep", "engine");
   const ExecBackend& ex = exec != nullptr ? *exec : serial_backend();
   QPLEC_REQUIRE(out.size() == static_cast<std::size_t>(view.num_items()));
-  QPLEC_REQUIRE(lists.size() == static_cast<std::size_t>(view.num_items()));
+  QPLEC_REQUIRE(lists.num_items() == view.num_items());
   // Gate draws happen here on the coordinating thread — never inside a
   // backend pass — so for a fixed tier the same checks run regardless of
   // the lane layout.
@@ -35,9 +52,9 @@ void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& l
   ex.for_indices(n, [&](int, int s) {
     const int i = view.item(s);
     if (check_feasibility) {
-      QPLEC_REQUIRE_MSG(lists[static_cast<std::size_t>(i)].size() >= view.degree(i) + 1,
+      QPLEC_REQUIRE_MSG(lists.size(i) >= view.degree(i) + 1,
                         "greedy feasibility violated at item "
-                            << i << ": list " << lists[static_cast<std::size_t>(i)].size()
+                            << i << ": list " << lists.size(i)
                             << " < deg+1 = " << view.degree(i) + 1);
     }
     QPLEC_REQUIRE_MSG(out[static_cast<std::size_t>(i)] == kUncolored,
@@ -54,8 +71,8 @@ void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& l
   // pairwise independent, so no neighbor is written while it is read, and
   // the active items entered uncolored, so the colored neighbors are exactly
   // the ones earlier regions colored — the per-class schedule's forbidden
-  // sets.
-  LaneScratch<std::vector<Color>> forbidden(ex.lanes());
+  // sets.  An uncolored neighbor reads kUncolored, which the pick ignores.
+  LaneScratch<ListStore::PickScratch> scratch(ex.lanes());
   std::vector<std::uint8_t> in_batch(static_cast<std::size_t>(n), 0);  // indexed by slot
 
   // Small-class batching: consecutive classes whose combined size stays
@@ -111,14 +128,9 @@ void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& l
     ex.for_indices(static_cast<int>(batch.size()), [&](int lane, int t) {
       const int s = batch[static_cast<std::size_t>(t)];
       const int i = view.item(s);
-      std::vector<Color>& used = forbidden.lane(lane);
-      used.clear();
-      for (const int f : view.row(s)) {
-        const Color c = out[static_cast<std::size_t>(view.item(f))];
-        if (c != kUncolored) used.push_back(c);
-      }
-      std::sort(used.begin(), used.end());
-      const Color c = lists[static_cast<std::size_t>(i)].min_excluding(used);
+      const Color c = lists.first_free(i, scratch.lane(lane), [&](auto&& forbid) {
+        for (const int f : view.row(s)) forbid(out[static_cast<std::size_t>(view.item(f))]);
+      });
       QPLEC_ASSERT_MSG(c != kUncolored, "greedy sweep ran out of colors at item " << i);
       out[static_cast<std::size_t>(i)] = c;
     });
@@ -126,8 +138,16 @@ void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& l
   }
 }
 
-ConflictSolveResult solve_conflict_list(const ConflictView& view,
-                                        const std::vector<ColorList>& lists,
+void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& lists,
+                       const std::vector<std::uint64_t>& phi, std::uint64_t palette,
+                       std::vector<Color>& out, RoundLedger& ledger, const ExecBackend* exec,
+                       const SolveControl* control, ValidationGate* gate, int batch_quantum) {
+  QPLEC_REQUIRE(lists.size() == static_cast<std::size_t>(view.num_items()));
+  greedy_by_classes(view, pick_lists(view, lists), phi, palette, out, ledger, exec, control,
+                    gate, batch_quantum);
+}
+
+ConflictSolveResult solve_conflict_list(const ConflictView& view, const ListStore& lists,
                                         const std::vector<std::uint64_t>& phi0,
                                         std::uint64_t palette0, int degree_bound,
                                         std::vector<Color>& out, RoundLedger& ledger,
@@ -140,6 +160,18 @@ ConflictSolveResult solve_conflict_list(const ConflictView& view,
   greedy_by_classes(view, lists, lin.colors, lin.palette, out, ledger, exec, control, gate,
                     batch_quantum);
   return res;
+}
+
+ConflictSolveResult solve_conflict_list(const ConflictView& view,
+                                        const std::vector<ColorList>& lists,
+                                        const std::vector<std::uint64_t>& phi0,
+                                        std::uint64_t palette0, int degree_bound,
+                                        std::vector<Color>& out, RoundLedger& ledger,
+                                        const ExecBackend* exec, const SolveControl* control,
+                                        ValidationGate* gate, int batch_quantum) {
+  QPLEC_REQUIRE(lists.size() == static_cast<std::size_t>(view.num_items()));
+  return solve_conflict_list(view, pick_lists(view, lists), phi0, palette0, degree_bound, out,
+                             ledger, exec, control, gate, batch_quantum);
 }
 
 EdgeColoring greedy_centralized(const ListEdgeColoringInstance& instance) {

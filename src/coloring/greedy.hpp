@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/coloring/conflict.hpp"
+#include "src/coloring/list_store.hpp"
 #include "src/coloring/palette.hpp"
 #include "src/coloring/problem.hpp"
 #include "src/common/control.hpp"
@@ -59,6 +60,17 @@ namespace qplec {
 /// in the gather pass; null keeps the seed's always-validate behavior.
 /// Gated checks feed nothing the sweep computes, so the output is identical
 /// at any tier.
+///
+/// The sweep reads its lists from a ListStore: a pick ORs the colored
+/// neighbors' colors into the item's bitset window and takes the first free
+/// bit.  The ColorList overload first stores only the view's active items,
+/// each cut to its first degree(i) + 1 colors (the pick always lies there),
+/// so a caller pays for the view, not the list vector.
+void greedy_by_classes(const ConflictView& view, const ListStore& lists,
+                       const std::vector<std::uint64_t>& phi, std::uint64_t palette,
+                       std::vector<Color>& out, RoundLedger& ledger,
+                       const ExecBackend* exec = nullptr, const SolveControl* control = nullptr,
+                       ValidationGate* gate = nullptr, int batch_quantum = 128);
 void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& lists,
                        const std::vector<std::uint64_t>& phi, std::uint64_t palette,
                        std::vector<Color>& out, RoundLedger& ledger,
@@ -76,6 +88,12 @@ struct ConflictSolveResult {
 /// passes on `exec` (null = serial backend) with bit-identical results.
 /// `gate` tiers both stages' demoted validation walks and `batch_quantum`
 /// sets the sweep's class-batching quantum (see greedy_by_classes).
+ConflictSolveResult solve_conflict_list(
+    const ConflictView& view, const ListStore& lists,
+    const std::vector<std::uint64_t>& phi0, std::uint64_t palette0, int degree_bound,
+    std::vector<Color>& out, RoundLedger& ledger, const ExecBackend* exec = nullptr,
+    const SolveControl* control = nullptr, ValidationGate* gate = nullptr,
+    int batch_quantum = 128);
 ConflictSolveResult solve_conflict_list(
     const ConflictView& view, const std::vector<ColorList>& lists,
     const std::vector<std::uint64_t>& phi0, std::uint64_t palette0, int degree_bound,

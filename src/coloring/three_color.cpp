@@ -19,8 +19,7 @@ ThreeColorResult three_color_paths_cycles(const ConflictView& view,
   }
   ThreeColorResult out;
   out.colors.assign(static_cast<std::size_t>(view.num_items()), kUncolored);
-  const std::vector<ColorList> lists(static_cast<std::size_t>(view.num_items()),
-                                     ColorList::range(0, 3));
+  const ListStore lists = ListStore::ranges(view.num_items(), view.items(), 0, 3);
   const auto sub = solve_conflict_list(view, lists, phi, palette, 2, out.colors, ledger, &ex,
                                        /*control=*/nullptr, gate);
   out.rounds = sub.linial_rounds + static_cast<int>(sub.sweep_palette);

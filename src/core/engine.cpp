@@ -11,16 +11,26 @@
 #include "src/core/pass_timer.hpp"
 #include "src/dist/reducer.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 
 namespace qplec {
 
-SolverEngine::SolverEngine(const Graph& g, std::vector<ColorList> lists, Color palette,
+namespace {
+
+ListStore engine_lists(const std::vector<ColorList>& lists) {
+  const trace::Span span("engine-lists", "engine");
+  return ListStore(lists);
+}
+
+}  // namespace
+
+SolverEngine::SolverEngine(const Graph& g, const std::vector<ColorList>& lists, Color palette,
                            std::vector<std::uint64_t> phi, std::uint64_t phi_palette,
                            const Policy& policy, RoundLedger& ledger, SolverStats& stats,
                            int depth, const ExecBackend* exec, const ExecConfig& config,
                            const SolveControl* control, std::optional<ConflictView> line_graph)
     : g_(g),
-      work_(std::move(lists)),
+      work_(engine_lists(lists)),
       palette_(palette),
       phi_(std::move(phi)),
       phi_palette_(phi_palette),
@@ -35,7 +45,7 @@ SolverEngine::SolverEngine(const Graph& g, std::vector<ColorList> lists, Color p
       final_(static_cast<std::size_t>(g.num_edges()), kUncolored),
       cache_(line_graph ? std::move(*line_graph) : LineGraphConflict(g, EdgeSubset::all(g), exec_),
              final_, *exec_) {
-  QPLEC_REQUIRE(work_.size() == static_cast<std::size_t>(g.num_edges()));
+  QPLEC_REQUIRE(work_.num_items() == g.num_edges());
   QPLEC_REQUIRE(phi_.size() == static_cast<std::size_t>(g.num_edges()));
   note_depth(depth);
 }
@@ -136,12 +146,10 @@ int SolverEngine::round_head(const EdgeSubset& H, const char* invariant) {
   DeterministicReducer<int> deg(exec_->lanes(), 0);
   cache_.flush();
   exec_->for_members(H, [&](int lane, EdgeId e) {
-    auto& list = work_[static_cast<std::size_t>(e)];
-    cache_.consume(lane, e, list);
-    const int di = cache_.induced_degree(lane, e, H);
+    const int di = cache_.consume_and_count(lane, e, work_, H);
     deg.lane(lane) = std::max(deg.lane(lane), di);
     if (validate) {
-      QPLEC_ASSERT_MSG(list.size() >= di + 1, invariant << " violated at edge " << e);
+      QPLEC_ASSERT_MSG(work_.size(e) >= di + 1, invariant << " violated at edge " << e);
     }
   });
   return deg.max();
@@ -158,10 +166,9 @@ int SolverEngine::relaxed_head(const EdgeSubset& A, double slack, Color lo, Colo
     if (!validate) return;
     // Entry invariant of P(dbar, S, C): |L_e| > slack * deg_A(e), lists
     // within [lo, hi).
-    const auto& list = work_[static_cast<std::size_t>(e)];
-    QPLEC_ASSERT(!list.empty());
-    QPLEC_ASSERT(list.colors().front() >= lo && list.colors().back() < hi);
-    QPLEC_ASSERT_MSG(static_cast<double>(list.size()) > slack * di - 1e-9,
+    QPLEC_ASSERT(!work_.empty(e));
+    QPLEC_ASSERT(work_.min(e) >= lo && work_.max(e) < hi);
+    QPLEC_ASSERT_MSG(static_cast<double>(work_.size(e)) > slack * di - 1e-9,
                      "relaxed entry slack violated at edge " << e);
   });
   return deg.max();
@@ -252,11 +259,24 @@ void SolverEngine::solve_no_slack(EdgeSubset H, int depth) {
       {
         const PassTimer timer(stats_.refresh_ms, "mark-active");
         cache_.flush();
+        // The bucket's edges lie far apart in id order, so every consume
+        // would start with cache misses: the pass hints an edge's slots
+        // 2*kAhead positions early and its row and words kAhead positions
+        // early (hints only; they change no state).
+        constexpr std::size_t kAhead = 8;
         exec_->for_indices(static_cast<int>(bucket.size()), [&](int lane, int t) {
-          const EdgeId e = bucket[static_cast<std::size_t>(t)];
-          auto& list = work_[static_cast<std::size_t>(e)];
-          cache_.consume(lane, e, list);
-          if (2 * list.size() > deg0[static_cast<std::size_t>(e)]) {
+          const std::size_t at = static_cast<std::size_t>(t);
+          if (at + 2 * kAhead < bucket.size()) {
+            cache_.prefetch(bucket[at + 2 * kAhead], 0);
+            work_.prefetch(bucket[at + 2 * kAhead], 0);
+          }
+          if (at + kAhead < bucket.size()) {
+            cache_.prefetch(bucket[at + kAhead], 1);
+            work_.prefetch(bucket[at + kAhead], 1);
+          }
+          const EdgeId e = bucket[at];
+          cache_.consume(lane, e, work_);
+          if (2 * work_.size(e) > deg0[static_cast<std::size_t>(e)]) {
             is_active[static_cast<std::size_t>(t)] = 1;
           }
         });
@@ -274,11 +294,9 @@ void SolverEngine::solve_no_slack(EdgeSubset H, int depth) {
           const PassTimer validate_timer(stats_.profile.validate_ms, "validate-slack");
           exec_->for_members(active, [&](int lane, EdgeId e) {
             const int dprime = cache_.induced_degree(lane, e, active);
-            QPLEC_ASSERT_MSG(
-                work_[static_cast<std::size_t>(e)].size() >
-                    static_cast<std::int64_t>(beta) * dprime,
-                "slack guarantee violated: |L|=" << work_[static_cast<std::size_t>(e)].size()
-                                                 << " beta=" << beta << " deg'=" << dprime);
+            QPLEC_ASSERT_MSG(work_.size(e) > static_cast<std::int64_t>(beta) * dprime,
+                             "slack guarantee violated: |L|=" << work_.size(e) << " beta="
+                                                             << beta << " deg'=" << dprime);
           });
         }
         solve_relaxed(std::move(active), static_cast<double>(beta), 0, palette_, depth + 1);
@@ -311,11 +329,12 @@ void SolverEngine::solve_relaxed(EdgeSubset A, double slack, Color lo, Color hi,
   const int d = relaxed_head(A, slack, lo, hi);
 
   if (d == 0) {
-    // Independent edges: everyone picks its smallest remaining color.
+    // Independent edges: everyone picks its smallest remaining color (the
+    // first set bit of its window).
     ++stats_.trivial_picks;
     ledger_.charge(1, "trivial-pick");
     exec_->for_members(A, [&](int lane, EdgeId e) {
-      final_[static_cast<std::size_t>(e)] = work_[static_cast<std::size_t>(e)].min();
+      final_[static_cast<std::size_t>(e)] = work_.min(e);
       cache_.note_finalized(lane, e);
     });
     return;

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "src/coloring/conflict.hpp"
+#include "src/coloring/list_store.hpp"
 #include "src/coloring/palette.hpp"
 #include "src/coloring/problem.hpp"
 #include "src/common/control.hpp"
@@ -105,7 +106,8 @@ struct SolverStats {
 
 class SolverEngine {
  public:
-  /// lists: working lists (consumed); palette: colors lie in [0, palette);
+  /// lists: the starting lists, copied once into the engine's ListStore
+  /// (span `engine-lists`); palette: colors lie in [0, palette);
   /// phi/phi_palette: proper edge coloring of g seeding the primitives.
   /// exec: execution backend for the per-round edge steps AND the base-case
   /// primitive passes (Linial reduction, defective split, conflict solves —
@@ -126,7 +128,7 @@ class SolverEngine {
   /// line_graph: the full line graph of g (LineGraphConflict over every
   /// edge), handed over by a caller that already built it; the cache adopts
   /// its rows.  Absent, the engine builds it on `exec`.
-  SolverEngine(const Graph& g, std::vector<ColorList> lists, Color palette,
+  SolverEngine(const Graph& g, const std::vector<ColorList>& lists, Color palette,
                std::vector<std::uint64_t> phi, std::uint64_t phi_palette,
                const Policy& policy, RoundLedger& ledger, SolverStats& stats, int depth,
                const ExecBackend* exec = nullptr, const ExecConfig& config = {},
@@ -153,10 +155,9 @@ class SolverEngine {
   std::vector<int> assign_subspaces(const EdgeSubset& A, Color lo, Color hi, int p,
                                     int depth);
 
-  /// Working list of an edge (after whatever restriction has happened).
-  const ColorList& work_list(EdgeId e) const {
-    return work_[static_cast<std::size_t>(e)];
-  }
+  /// Working list of an edge (after whatever restriction has happened), as
+  /// a copy.
+  ColorList work_list(EdgeId e) const { return work_.to_list(e); }
 
  private:
   // Shared prologue of the public solve entry points: the demoted walk of
@@ -221,7 +222,7 @@ class SolverEngine {
   }
 
   const Graph& g_;
-  std::vector<ColorList> work_;
+  ListStore work_;  ///< working lists, one bitset window (or slice) per edge
   Color palette_;
   std::vector<std::uint64_t> phi_;
   std::uint64_t phi_palette_;

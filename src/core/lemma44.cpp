@@ -36,10 +36,15 @@ LevelResult compute_level(const std::vector<int>& part_sizes, int list_size) {
 
 std::vector<int> intersection_sizes(const ColorList& list, Color offset,
                                     const PalettePartition& partition) {
+  return intersection_sizes(ListStore(std::vector<ColorList>{list}), 0, offset, partition);
+}
+
+std::vector<int> intersection_sizes(const ListStore& lists, int i, Color offset,
+                                    const PalettePartition& partition) {
   std::vector<int> out(static_cast<std::size_t>(partition.num_parts()));
-  for (int i = 0; i < partition.num_parts(); ++i) {
-    out[static_cast<std::size_t>(i)] =
-        list.count_in_range(offset + partition.part_begin(i), offset + partition.part_end(i));
+  for (int j = 0; j < partition.num_parts(); ++j) {
+    out[static_cast<std::size_t>(j)] = lists.count_in_range(
+        i, offset + partition.part_begin(j), offset + partition.part_end(j));
   }
   return out;
 }

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "src/coloring/list_store.hpp"
 #include "src/coloring/palette.hpp"
 
 namespace qplec {
@@ -29,5 +30,9 @@ LevelResult compute_level(const std::vector<int>& part_sizes, int list_size);
 /// where the partition covers [offset, offset + partition.palette_size()).
 std::vector<int> intersection_sizes(const ColorList& list, Color offset,
                                     const class PalettePartition& partition);
+
+/// The same for item i of a ListStore (a popcount per part).
+std::vector<int> intersection_sizes(const ListStore& lists, int i, Color offset,
+                                    const PalettePartition& partition);
 
 }  // namespace qplec

@@ -198,13 +198,13 @@ RecolorOutcome repair_recolor(const RecolorPlan& plan, const Policy& policy,
   // the backend.
   const trace::Span span("churn-repair", "solver");
   auto scope = ledger.sequential("churn-repair");
-  std::vector<ColorList> effective(static_cast<std::size_t>(m2));
+  // The store holds only the region's lists; a region neighbor's carried
+  // slot reads kUncolored, which the removal ignores.
+  ListStore effective(plan.mutated.lists, plan.region);
   backend.for_members(region, [&](int, EdgeId e) {
-    ColorList& list = effective[static_cast<std::size_t>(e)];
-    list = plan.mutated.lists[static_cast<std::size_t>(e)];
-    g2.for_each_edge_neighbor(e, [&](EdgeId f) {
-      const Color cf = plan.carried[static_cast<std::size_t>(f)];
-      if (cf != kUncolored) list.remove(cf);
+    effective.remove_each(e, [&](auto&& remove) {
+      g2.for_each_edge_neighbor(
+          e, [&](EdgeId f) { remove(plan.carried[static_cast<std::size_t>(f)]); });
     });
   });
   ledger.charge(1, "churn-gather");
@@ -214,8 +214,7 @@ RecolorOutcome repair_recolor(const RecolorPlan& plan, const Policy& policy,
   // most one distinct color, so |effective| >= region-degree+1 always holds;
   // the check is defensive (a violation would make greedy throw mid-sweep).
   for (const EdgeId e : plan.region) {
-    if (effective[static_cast<std::size_t>(e)].size() <
-        region.induced_edge_degree(g2, e) + 1) {
+    if (effective.size(e) < region.induced_edge_degree(g2, e) + 1) {
       return fall_back();
     }
   }

@@ -48,8 +48,8 @@ std::vector<int> SolverEngine::assign_subspaces(const EdgeSubset& A, Color lo, C
   std::vector<int> list_size(m, 0);
   exec_->for_members(A, [&](int lane, EdgeId e) {
     const std::size_t i = static_cast<std::size_t>(e);
-    sizes[i] = intersection_sizes(work_[i], lo, partition);
-    list_size[i] = work_[i].size();
+    sizes[i] = intersection_sizes(work_, e, lo, partition);
+    list_size[i] = work_.size(e);
     level[i] = compute_level(sizes[i], list_size[i]).level;
     deg_A[i] = cache_.induced_degree(lane, e, A);
   });
@@ -250,8 +250,8 @@ std::vector<int> SolverEngine::assign_subspaces(const EdgeSubset& A, Color lo, C
   }
 
   // --- Restrict lists; machine-check Equation (2). ---
-  // part_of is fully assigned and read-only here; each edge replaces only
-  // its own working list.  The tightness statistic folds per lane.
+  // part_of is fully assigned and read-only here; each edge masks only its
+  // own working list.  The tightness statistic folds per lane.
   const PassTimer restrict_timer(stats_.restrict_ms, "restrict");
   DeterministicReducer<double> eq2_ratio(exec_->lanes(), stats_.max_eq2_ratio);
   exec_->for_members(A, [&](int lane, EdgeId e) {
@@ -259,8 +259,8 @@ std::vector<int> SolverEngine::assign_subspaces(const EdgeSubset& A, Color lo, C
     QPLEC_ASSERT_MSG(part_of[i] >= 0, "edge " << e << " left without a subspace");
     const Color plo = lo + partition.part_begin(part_of[i]);
     const Color phi_end = lo + partition.part_end(part_of[i]);
-    ColorList restricted = work_[i].restricted_to_range(plo, phi_end);
-    QPLEC_ASSERT_MSG(!restricted.empty(), "empty restricted list at edge " << e);
+    work_.restrict_to_range(e, plo, phi_end);
+    QPLEC_ASSERT_MSG(!work_.empty(e), "empty restricted list at edge " << e);
 
     int dprime = 0;
     for_each_A_neighbor(lane, e, [&](EdgeId f) {
@@ -268,7 +268,7 @@ std::vector<int> SolverEngine::assign_subspaces(const EdgeSubset& A, Color lo, C
     });
     if (dprime > 0) {
       const double bound = 24.0 * hq * std::max(1.0, logp) *
-                           (static_cast<double>(restricted.size()) /
+                           (static_cast<double>(work_.size(e)) /
                             static_cast<double>(list_size[i])) *
                            static_cast<double>(deg_A[i]);
       const double ratio = static_cast<double>(dprime) / bound;
@@ -277,7 +277,6 @@ std::vector<int> SolverEngine::assign_subspaces(const EdgeSubset& A, Color lo, C
                                                 << e << ": deg'=" << dprime
                                                 << " bound=" << bound);
     }
-    work_[i] = std::move(restricted);
   });
   stats_.max_eq2_ratio = eq2_ratio.max();
   return part_of;

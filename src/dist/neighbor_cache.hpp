@@ -48,7 +48,9 @@
 #include <vector>
 
 #include "src/coloring/conflict.hpp"
+#include "src/coloring/list_store.hpp"
 #include "src/coloring/problem.hpp"
+#include "src/common/mapped_allocator.hpp"
 #include "src/dist/backend.hpp"
 #include "src/graph/graph.hpp"
 #include "src/graph/subset.hpp"
@@ -84,37 +86,40 @@ class NeighborColorCache {
   void flush();
 
   /// The consuming sweep: drains e's pending colors, then walks e's live
-  /// row, removing the final color of every newly finalized entry from
-  /// `list` and compacting the entry out.  Together with the pending drain
-  /// this removes exactly the colors of the neighbors finalized since e's
-  /// previous consume — the colors a full rescan would remove.
-  /// Epoch-gated: if no finalize wave was flushed since e's last sweep, the
-  /// row provably holds no finalized entries and the walk is skipped.
-  void consume(int lane, EdgeId e, ColorList& list) {
-    auto& pending = pending_[static_cast<std::size_t>(e)];
-    if (!pending.empty()) {
-      for (const Color c : pending) list.remove(c);
-      pending.clear();
+  /// row, removing the final color of every newly finalized entry from e's
+  /// list in `lists` and compacting the entry out.  Together with the
+  /// pending drain this removes exactly the colors of the neighbors
+  /// finalized since e's previous consume — the colors a full rescan would
+  /// remove.  Epoch-gated: if no finalize wave was flushed since e's last
+  /// sweep, the row provably holds no finalized entries and the walk is
+  /// skipped.
+  ///
+  /// The walk has no branch on the neighbor's state: every entry is written
+  /// back and the write cursor advances only past live ones, and every
+  /// entry's final color is handed to the store, which ignores kUncolored.
+  void consume(int lane, EdgeId e, ListStore& lists) {
+    sweep(lane, e, lists, [](EdgeId) { return 0; });
+  }
+
+  /// consume(), then induced_degree(lane, e, s), in one walk of e's row:
+  /// the round head's refresh and degree measurement.
+  int consume_and_count(int lane, EdgeId e, ListStore& lists, const EdgeSubset& s) {
+    return sweep(lane, e, lists, [&](EdgeId f) { return s.contains(f) ? 1 : 0; });
+  }
+
+  /// Prefetch hint for a pass that consumes e a few edges from now; changes
+  /// no state.  Stage 0 pulls e's per-edge slots; stage 1, sent once those
+  /// have landed, the head of its live row (whose offset stage 0 loaded).
+  void prefetch(EdgeId e, int stage) const {
+    const std::size_t i = static_cast<std::size_t>(e);
+    if (stage == 0) {
+      __builtin_prefetch(&pending_[i]);
+      __builtin_prefetch(&row_epoch_[i]);
+      __builtin_prefetch(&offsets_[i]);
+      __builtin_prefetch(&live_count_[i]);
+    } else {
+      __builtin_prefetch(nbrs_.data() + offsets_[i], 1);
     }
-    if (row_epoch_[static_cast<std::size_t>(e)] == epoch_) return;
-    const std::size_t begin = offsets_[static_cast<std::size_t>(e)];
-    std::size_t w = begin;
-    const std::size_t end =
-        begin + static_cast<std::size_t>(live_count_[static_cast<std::size_t>(e)]);
-    std::int64_t dropped = 0;
-    for (std::size_t r = begin; r < end; ++r) {
-      const EdgeId f = nbrs_[r];
-      const Color cf = (*final_)[static_cast<std::size_t>(f)];
-      if (cf == kUncolored) {
-        nbrs_[w++] = f;
-      } else {
-        list.remove(cf);
-        ++dropped;
-      }
-    }
-    live_count_[static_cast<std::size_t>(e)] = static_cast<std::int32_t>(w - begin);
-    row_epoch_[static_cast<std::size_t>(e)] = epoch_;
-    drops_.lane(lane) += dropped;
   }
 
   /// Applies fn(EdgeId f) to every live (unfinalized) neighbor of e, in
@@ -210,6 +215,42 @@ class NeighborColorCache {
   }
 
  private:
+  // The walk behind consume() and consume_and_count(): returns the number
+  // of live entries of e's row (after the sweep) that count(f) accepts.
+  template <typename Count>
+  int sweep(int lane, EdgeId e, ListStore& lists, Count&& count) {
+    auto& pending = pending_[static_cast<std::size_t>(e)];
+    if (!pending.empty()) {
+      for (const Color c : pending) lists.remove(e, c);
+      pending.clear();
+    }
+    const std::size_t begin = offsets_[static_cast<std::size_t>(e)];
+    const std::size_t end =
+        begin + static_cast<std::size_t>(live_count_[static_cast<std::size_t>(e)]);
+    int counted = 0;
+    if (row_epoch_[static_cast<std::size_t>(e)] == epoch_) {
+      for (std::size_t r = begin; r < end; ++r) counted += count(nbrs_[r]);
+      return counted;
+    }
+    const Color* final = final_->data();
+    std::size_t w = begin;
+    lists.remove_each(e, [&](auto&& remove) {
+      for (std::size_t r = begin; r < end; ++r) {
+        const EdgeId f = nbrs_[r];
+        const Color cf = final[static_cast<std::size_t>(f)];
+        const int live = cf == kUncolored ? 1 : 0;
+        nbrs_[w] = f;
+        w += static_cast<std::size_t>(live);
+        counted += live & count(f);
+        remove(cf);
+      }
+    });
+    live_count_[static_cast<std::size_t>(e)] = static_cast<std::int32_t>(w - begin);
+    row_epoch_[static_cast<std::size_t>(e)] = epoch_;
+    drops_.lane(lane) += static_cast<std::int64_t>(end - w);
+    return counted;
+  }
+
   const EdgeColoring* final_;
   int num_edges_;
 
@@ -220,8 +261,8 @@ class NeighborColorCache {
 
   // Flat-CSR live rows (adopted from the line graph): edge e's live
   // neighbors are nbrs_[offsets_[e] .. offsets_[e] + live_count_[e]).
-  std::vector<std::size_t> offsets_;
-  std::vector<EdgeId> nbrs_;
+  MappedVector<std::size_t> offsets_;
+  MappedVector<EdgeId> nbrs_;
   std::vector<std::int32_t> live_count_;
 
   // Finalize-wave epoch (bumped by flush() when a round's log is non-empty)

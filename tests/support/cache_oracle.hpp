@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/coloring/conflict.hpp"
+#include "src/coloring/list_store.hpp"
 #include "src/coloring/problem.hpp"
 #include "src/dist/backend.hpp"
 #include "src/dist/neighbor_cache.hpp"
@@ -40,7 +41,7 @@ inline void expect_cache_matches_rescan(const Graph& g, const EdgeColoring& colo
   EdgeColoring final(static_cast<std::size_t>(g.num_edges()), kUncolored);
   NeighborColorCache cache(LineGraphConflict(g, EdgeSubset::all(g)), final, serial_backend());
 
-  std::vector<ColorList> cached = lists;
+  ListStore cached(lists);
   std::vector<ColorList> oracle = lists;
   EdgeSubset live = EdgeSubset::all(g);
   for (int wave = 0; wave < 4; ++wave) {
@@ -67,16 +68,16 @@ inline void expect_cache_matches_rescan(const Graph& g, const EdgeColoring& colo
       // Consume on alternating waves, so deferred colors pile up in between.
       if ((wave + e / stride) % 2 == 0) continue;
       const std::size_t i = static_cast<std::size_t>(e);
-      cache.consume(0, e, cached[i]);
+      cache.consume(0, e, cached);
       oracle[i] = rescan(g, final, e, oracle[i]);
-      EXPECT_EQ(cached[i], oracle[i]) << "edge " << e << " wave " << wave;
+      EXPECT_EQ(cached.to_list(e), oracle[i]) << "edge " << e << " wave " << wave;
     }
   }
   for (EdgeId e = 0; e < g.num_edges(); e += stride) {
     if (!live.contains(e)) continue;
     const std::size_t i = static_cast<std::size_t>(e);
-    cache.consume(0, e, cached[i]);
-    EXPECT_EQ(cached[i], rescan(g, final, e, lists[i])) << "edge " << e;
+    cache.consume(0, e, cached);
+    EXPECT_EQ(cached.to_list(e), rescan(g, final, e, lists[i])) << "edge " << e;
   }
   EXPECT_EQ(cache.deltas_flushed(), g.num_edges() - live.size());
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -143,6 +147,42 @@ TEST(ConflictView, ExplicitRowsMatchDeduplicatedPairs) {
     view.for_each_neighbor(i, [&](int f) { got.push_back(f); });
     EXPECT_EQ(got, std::vector<int>(expected.begin(), expected.end())) << "item " << i;
   }
+}
+
+// Resident memory of this process in KiB (Linux), if readable.
+std::optional<long> resident_kib() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return std::nullopt;
+  long size = 0;
+  long resident = 0;
+  const int read = std::fscanf(f, "%ld %ld", &size, &resident);
+  std::fclose(f);
+  if (read != 2) return std::nullopt;
+  return resident * (sysconf(_SC_PAGESIZE) / 1024);
+}
+
+TEST(ConflictView, LargeRowsLeaveTheProcessWhenDropped) {
+  // K_150: 11,175 edges of conflict degree 296, so 13 MB of rows.
+  const Graph g = make_complete(150);
+  const EdgeSubset all = EdgeSubset::all(g);
+  {
+    // Once a block larger than the rows has been freed, glibc serves blocks
+    // of the rows' size from its heap and keeps them resident after free.
+    std::vector<char> larger(24 << 20, 1);
+    ASSERT_EQ(larger[12345], 1);
+  }
+  const std::optional<long> before = resident_kib();
+  if (!before) GTEST_SKIP() << "no /proc/self/statm";
+  std::optional<long> built;
+  {
+    const LineGraphConflict view(g, all);
+    ASSERT_EQ(view.row(0).size(), 296u);
+    built = resident_kib();
+  }
+  const std::optional<long> after = resident_kib();
+  constexpr long kRowsKib = 11175L * 296 * 4 / 1024;
+  EXPECT_GT(*built - *before, kRowsKib * 3 / 4);
+  EXPECT_LT(*after - *before, kRowsKib / 4) << "the rows stayed resident after the view died";
 }
 
 }  // namespace

@@ -28,6 +28,13 @@ using test_support::smoke_scenarios;
 
 const int kShardCounts[] = {1, 2, 7};
 
+// A store in which edge e of g holds `list` and every other edge is empty.
+ListStore store_with(const Graph& g, EdgeId e, ColorList list) {
+  std::vector<ColorList> lists(static_cast<std::size_t>(g.num_edges()));
+  lists[static_cast<std::size_t>(e)] = std::move(list);
+  return ListStore(lists);
+}
+
 // The hub input: a 2000-leaf star's rows hold ~4M entries, every edge
 // adjacent to every other.
 TEST(NeighborCache, RowModeMatchesBruteForceRescan) {
@@ -80,16 +87,16 @@ TEST(NeighborCache, ConsumeRemovesFinalizedNeighborColorExactlyOnce) {
   cache.flush();
   EXPECT_EQ(cache.deltas_flushed(), 1);
 
-  ColorList list(std::vector<Color>{5, 7, 9});
-  cache.consume(0, 0, list);
-  EXPECT_EQ(list, ColorList(std::vector<Color>{5, 9}));
+  ListStore lists = store_with(g, 0, ColorList(std::vector<Color>{5, 7, 9}));
+  cache.consume(0, 0, lists);
+  EXPECT_EQ(lists.to_list(0), ColorList(std::vector<Color>{5, 9}));
   EXPECT_EQ(cache.live_degree_bound(0), g.edge_degree(0) - 1);  // e1 dropped
   EXPECT_EQ(cache.colors_removed(), 1);
 
   // The pair was handled once: a second consume finds nothing to do.
-  ColorList relisted(std::vector<Color>{7, 8});
+  ListStore relisted = store_with(g, 0, ColorList(std::vector<Color>{7, 8}));
   cache.consume(0, 0, relisted);
-  EXPECT_EQ(relisted, ColorList(std::vector<Color>{7, 8}));
+  EXPECT_EQ(relisted.to_list(0), ColorList(std::vector<Color>{7, 8}));
   EXPECT_EQ(cache.colors_removed(), 1);
 }
 
@@ -126,17 +133,63 @@ TEST(NeighborCache, BoundaryFinalizationsMatchSerialAcrossShardCounts) {
     serial_cache.flush();
     EXPECT_EQ(sharded_cache.deltas_flushed(), serial_cache.deltas_flushed());
 
+    ListStore a(std::vector<ColorList>(static_cast<std::size_t>(g.num_edges()),
+                                       ColorList::range(100, 100 + 40)));
+    ListStore b = a;
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      ColorList a = ColorList::range(100, 100 + 40);
-      ColorList b = a;
       sharded_cache.consume(0, e, a);
       serial_cache.consume(0, e, b);
-      EXPECT_EQ(a, b) << "edge " << e << " shards=" << shards;
+      EXPECT_EQ(a.to_list(e), b.to_list(e)) << "edge " << e << " shards=" << shards;
       EXPECT_EQ(sharded_cache.live_degree_bound(e), serial_cache.live_degree_bound(e))
           << "edge " << e << " shards=" << shards;
     }
     EXPECT_EQ(sharded_cache.colors_removed(), serial_cache.colors_removed());
   }
+}
+
+// The round head's fused walk: consume_and_count leaves the same lists, live
+// rows and telemetry as consume followed by induced_degree, and returns the
+// same degree, on dirty rows (a finalize wave since the last sweep) and clean
+// ones alike.
+TEST(NeighborCache, ConsumeAndCountMatchesConsumeThenInducedDegree) {
+  const Graph g = make_random_regular(60, 7, 13);
+  const auto m = static_cast<std::size_t>(g.num_edges());
+  EdgeColoring final(m, kUncolored);
+  NeighborColorCache split(LineGraphConflict(g, EdgeSubset::all(g)), final, serial_backend());
+  NeighborColorCache fused(LineGraphConflict(g, EdgeSubset::all(g)), final, serial_backend());
+  const std::vector<ColorList> start(m, ColorList::range(0, 64));
+  ListStore split_lists(start);
+  ListStore fused_lists(start);
+  EdgeSubset live = EdgeSubset::all(g);
+  for (int wave = 0; wave < 4; ++wave) {
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (!live.contains(e) || (e * 5 + wave) % 3 != 0) continue;
+      final[static_cast<std::size_t>(e)] = static_cast<Color>(e % 64);
+      live.erase(e);
+      split.note_finalized(0, e);
+      fused.note_finalized(0, e);
+    }
+    split.flush();
+    fused.flush();
+    // Count over every other live edge, so the subset is not the live set.
+    EdgeSubset s(g.num_edges());
+    live.for_each([&](EdgeId e) {
+      if (e % 2 == 0) s.insert(e);
+    });
+    for (int pass = 0; pass < 2; ++pass) {  // dirty rows, then clean ones
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
+        if (!live.contains(e)) continue;
+        split.consume(0, e, split_lists);
+        const int want = split.induced_degree(0, e, s);
+        EXPECT_EQ(fused.consume_and_count(0, e, fused_lists, s), want)
+            << "edge " << e << " wave " << wave << " pass " << pass;
+        EXPECT_EQ(fused_lists.to_list(e), split_lists.to_list(e)) << "edge " << e;
+        EXPECT_EQ(fused.live_degree_bound(e), split.live_degree_bound(e)) << "edge " << e;
+      }
+    }
+  }
+  EXPECT_EQ(fused.colors_removed(), split.colors_removed());
+  EXPECT_GT(fused.colors_removed(), 0);
 }
 
 // Re-restriction: colors that a restriction already dropped from the list
@@ -153,9 +206,10 @@ TEST(NeighborCache, ConsumeAfterRestrictionIsANoOpForDroppedColors) {
 
   // e0's list got restricted to [0, 10) before it consumed the finalization:
   // color 50 is already gone, and consuming must not disturb the rest.
-  ColorList list = ColorList(std::vector<Color>{2, 5, 50}).restricted_to_range(0, 10);
-  cache.consume(0, 0, list);
-  EXPECT_EQ(list, ColorList(std::vector<Color>{2, 5}));
+  ListStore lists = store_with(g, 0, ColorList(std::vector<Color>{2, 5, 50}));
+  lists.restrict_to_range(0, 0, 10);
+  cache.consume(0, 0, lists);
+  EXPECT_EQ(lists.to_list(0), ColorList(std::vector<Color>{2, 5}));
   EXPECT_EQ(cache.live_degree_bound(0), g.edge_degree(0) - 1);
 }
 
@@ -178,6 +232,8 @@ TEST(NeighborCache, LiveNeighborsMatchFilteredFullWalkAndDeferColors) {
     }
   }
 
+  ListStore lists(std::vector<ColorList>(static_cast<std::size_t>(g.num_edges()),
+                                         ColorList::range(1000, 1000 + g.num_edges())));
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     std::vector<EdgeId> expected;
     std::vector<Color> expected_deferred;
@@ -200,10 +256,9 @@ TEST(NeighborCache, LiveNeighborsMatchFilteredFullWalkAndDeferColors) {
     EXPECT_EQ(cache.pending(e), expected_deferred);
     EXPECT_EQ(cache.induced_degree(0, e, uncolored), uncolored.induced_edge_degree(g, e));
     // The deferred colors drain at the next consume — nothing is lost.
-    ColorList list = ColorList::range(1000, 1000 + g.num_edges());
-    cache.consume(0, e, list);
+    cache.consume(0, e, lists);
     EXPECT_TRUE(cache.pending(e).empty());
-    for (const Color c : expected_deferred) EXPECT_FALSE(list.contains(c));
+    for (const Color c : expected_deferred) EXPECT_FALSE(lists.contains(e, c));
   }
 }
 

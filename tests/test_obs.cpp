@@ -316,6 +316,53 @@ TEST(ObsTrace, OneFullLineGraphBuildPerSolve) {
   }
 }
 
+// Every engine builds its ListStore once, under one "engine-lists" span: the
+// top-level engine between the initial coloring and the list coloring, and
+// each child engine of a Lemma 4.3 phase or E(2) instance inside it.
+TEST(ObsTrace, OneEngineListsSpanPerEngine) {
+  {
+    const ListEdgeColoringInstance instance =
+        make_two_delta_instance(make_random_regular(64, 12, 5));
+    trace::start(4096);
+    const SolveResult res = Solver().solve(instance);
+    trace::stop();
+    ASSERT_EQ(res.stats.virtual_instances + res.stats.e2_instances, 0);
+    std::int64_t initial_end = -1;
+    std::int64_t coloring_start = -1;
+    std::vector<trace::TraceEvent> lists;
+    for (const trace::TraceEvent& ev : trace::snapshot_events()) {
+      const std::string name(ev.name);
+      if (name == "initial-coloring") initial_end = ev.ts_us + ev.dur_us;
+      if (name == "list-edge-coloring") coloring_start = ev.ts_us;
+      if (name == "engine-lists") lists.push_back(ev);
+    }
+    ASSERT_EQ(lists.size(), 1u);
+    EXPECT_EQ(std::string(lists[0].cat), "engine");
+    EXPECT_LE(initial_end, lists[0].ts_us);
+    EXPECT_LE(lists[0].ts_us + lists[0].dur_us, coloring_start);
+  }
+  {
+    // Slack for a 128-way color-space reduction: uniform lists sit at
+    // Lemma 4.4 level 4, and a cycle's degree-2 edges form E(2), solved by
+    // a child engine.
+    Policy policy = Policy::practical();
+    policy.base_degree_threshold = 1;
+    const double slack = Policy::space_cost(128) + 1;
+    const ListEdgeColoringInstance instance =
+        make_slack_instance(make_cycle(40).with_scrambled_ids(1600, 6), slack, 1 << 14, 17);
+    trace::start(1 << 16);
+    const SolveResult res = Solver(policy).solve_relaxed(instance, slack);
+    trace::stop();
+    ASSERT_EQ(trace::dropped(), 0u);
+    ASSERT_GT(res.stats.virtual_instances + res.stats.e2_instances, 0);
+    std::int64_t spans = 0;
+    for (const trace::TraceEvent& ev : trace::snapshot_events()) {
+      spans += std::string(ev.name) == "engine-lists" ? 1 : 0;
+    }
+    EXPECT_EQ(spans, 1 + res.stats.virtual_instances + res.stats.e2_instances);
+  }
+}
+
 // ------------------------------------------- determinism of the registry ---
 
 // The deterministic solver series — solve count, LOCAL rounds, neighbor-

@@ -13,11 +13,13 @@
 // uint64), a NUL inserted or overwritten at every byte, and a header whose
 // edge count m lies.
 //
-// The same mutants, plus hand-written field-rule cases, also run through
-// the per-line istringstream parser the one-pass parser replaced
+// The same mutants, plus hand-written field-rule cases and chains of two to
+// four random mutations over few-hundred-line texts, also run through the
+// per-line istringstream parser the one-pass parser replaced
 // (tests/support/edge_list_oracle.hpp): both must agree on every text.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -29,6 +31,7 @@
 #include <vector>
 
 #include "src/coloring/problem.hpp"
+#include "src/common/rng.hpp"
 #include "src/graph/io.hpp"
 #include "src/service/churn.hpp"
 #include "src/service/solve_service.hpp"
@@ -191,65 +194,197 @@ long long error_line(const std::string& what) {
   return std::stoll(what.substr(tag.size()));
 }
 
+/// Verdict counts of expect_parsers_agree over a corpus.
+struct Agreement {
+  int accepted = 0;
+  int self_loops = 0;
+};
+
 // The one-pass from_chars parser against the per-line istringstream parser it
-// replaced: the same verdict on every text; the same graph (edge ids,
+// replaced, on one text: the same verdict; the same graph (edge ids,
 // incidence order, local ids) when both accept; the same error when both
 // reject, except that the new parser rejects a self-loop at its own line,
 // where the oracle leaves it to GraphBuilder's precondition.
+void expect_parsers_agree(const std::string& text, Agreement& seen) {
+  std::string got_error;
+  std::string want_error;
+  Graph got;
+  Graph want;
+  try {
+    got = parse_edge_list(text);
+  } catch (const std::invalid_argument& e) {
+    got_error = e.what();
+  }
+  try {
+    want = test_support::oracle_parse_edge_list(text);
+  } catch (const std::invalid_argument& e) {
+    want_error = e.what();
+  }
+  ASSERT_EQ(got_error.empty(), want_error.empty())
+      << "on \"" << printable(text) << "\": new \"" << printable(got_error) << "\", oracle \""
+      << printable(want_error) << "\"";
+  if (got_error.empty()) {
+    ++seen.accepted;
+    ASSERT_EQ(got.num_nodes(), want.num_nodes()) << printable(text);
+    ASSERT_EQ(got.num_edges(), want.num_edges()) << printable(text);
+    for (EdgeId e = 0; e < got.num_edges(); ++e) {
+      EXPECT_EQ(got.endpoints(e), want.endpoints(e)) << printable(text);
+    }
+    for (NodeId v = 0; v < got.num_nodes(); ++v) {
+      const auto a = got.incident(v);
+      const auto b = want.incident(v);
+      ASSERT_EQ(a.size(), b.size()) << printable(text);
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].neighbor, b[i].neighbor) << printable(text);
+        EXPECT_EQ(a[i].edge, b[i].edge) << printable(text);
+      }
+      EXPECT_EQ(got.local_id(v), want.local_id(v)) << printable(text);
+    }
+    EXPECT_EQ(got.max_local_id(), want.max_local_id()) << printable(text);
+  } else if (got_error.find(": self-loop at node ") != std::string::npos) {
+    ++seen.self_loops;
+    // The oracle fails later: at a later line, or after the last one.
+    const long long line = error_line(want_error);
+    EXPECT_TRUE(line < 0 || line > error_line(got_error))
+        << "on \"" << printable(text) << "\": new \"" << printable(got_error)
+        << "\", oracle \"" << printable(want_error) << "\"";
+  } else {
+    EXPECT_EQ(printable(got_error), printable(want_error)) << "on \"" << printable(text) << "\"";
+  }
+}
+
 TEST(ParseFuzz, OnePassParserMatchesLineStreamOracle) {
   std::vector<std::string> texts = edge_list_mutants();
   for (std::string& text : field_rule_texts()) texts.push_back(std::move(text));
-  int accepted = 0;
-  int self_loops = 0;
+  Agreement seen;
   for (const std::string& text : texts) {
-    std::string got_error;
-    std::string want_error;
-    Graph got;
-    Graph want;
-    try {
-      got = parse_edge_list(text);
-    } catch (const std::invalid_argument& e) {
-      got_error = e.what();
+    expect_parsers_agree(text, seen);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(seen.accepted, 0);
+  EXPECT_GT(seen.self_loops, 0);
+}
+
+/// A few-hundred-line edge-list text: a random simple graph on 90 nodes
+/// with 300 edges, in DIMACS or plain form, with comment and blank lines,
+/// CRLF endings and tab separators sprinkled through it.
+std::string long_text(bool dimacs, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<int, int>> edges;
+  std::vector<std::uint8_t> seen(90 * 90, 0);
+  while (edges.size() < 300) {
+    const int u = static_cast<int>(rng.next_below(90));
+    const int v = static_cast<int>(rng.next_below(90));
+    if (u == v || seen[static_cast<std::size_t>(std::min(u, v) * 90 + std::max(u, v))]) continue;
+    seen[static_cast<std::size_t>(std::min(u, v) * 90 + std::max(u, v))] = 1;
+    edges.emplace_back(u, v);
+  }
+  std::string text = dimacs ? "c long text\np edge 90 300\n" : "# long text\n90 300\n";
+  const int shift = dimacs ? 1 : 0;
+  for (const auto& [u, v] : edges) {
+    switch (rng.next_below(12)) {
+      case 0: text += dimacs ? "c note\n" : "# note\n"; break;
+      case 1: text += "\n"; break;
+      default: break;
     }
-    try {
-      want = test_support::oracle_parse_edge_list(text);
-    } catch (const std::invalid_argument& e) {
-      want_error = e.what();
+    const char* sep = rng.next_bool(0.1) ? "\t" : " ";
+    text += (dimacs ? "e " : "") + std::to_string(u + shift) + sep + std::to_string(v + shift);
+    text += rng.next_bool(0.1) ? "\r\n" : "\n";
+  }
+  return text;
+}
+
+/// One random mutation of `text`: a truncation, a NUL inserted or
+/// overwritten, a digit bumped or maxed, a number negated or widened past
+/// every integer type, a separator swapped for another isspace byte, a byte
+/// deleted, a line duplicated or dropped, or a comment line inserted.
+void mutate(std::string& text, Rng& rng) {
+  if (text.empty()) {
+    text = "0 1\n";
+    return;
+  }
+  const std::size_t i = rng.next_below(text.size());
+  const auto line_start = [&](std::size_t at) {
+    const std::size_t nl = text.rfind('\n', at == 0 ? 0 : at - 1);
+    return at == 0 || nl == std::string::npos ? 0 : nl + 1;
+  };
+  const auto line_end = [&](std::size_t at) {
+    const std::size_t nl = text.find('\n', at);
+    return nl == std::string::npos ? text.size() : nl + 1;
+  };
+  switch (rng.next_below(10)) {
+    case 0:
+      text.resize(i);
+      break;
+    case 1:
+      text.insert(i, 1, '\0');
+      break;
+    case 2:
+      text[i] = '\0';
+      break;
+    case 3:
+      if (std::isdigit(static_cast<unsigned char>(text[i])) != 0) {
+        text[i] = rng.next_bool(0.5) ? '9' : static_cast<char>('0' + (text[i] - '0' + 1) % 10);
+      }
+      break;
+    case 4:
+    case 5: {
+      // The number at or after i: negate it or widen it.
+      std::size_t b = i;
+      while (b < text.size() && std::isdigit(static_cast<unsigned char>(text[b])) == 0) ++b;
+      std::size_t e = b;
+      while (e < text.size() && std::isdigit(static_cast<unsigned char>(text[e])) != 0) ++e;
+      if (b == e) break;
+      if (rng.next_bool(0.5)) {
+        text.insert(b, 1, '-');
+      } else {
+        text.replace(b, e - b, rng.next_bool(0.5) ? "99999999999999999999" : "16777216");
+      }
+      break;
     }
-    ASSERT_EQ(got_error.empty(), want_error.empty())
-        << "on \"" << printable(text) << "\": new \"" << printable(got_error) << "\", oracle \""
-        << printable(want_error) << "\"";
-    if (got_error.empty()) {
-      ++accepted;
-      ASSERT_EQ(got.num_nodes(), want.num_nodes()) << printable(text);
-      ASSERT_EQ(got.num_edges(), want.num_edges()) << printable(text);
-      for (EdgeId e = 0; e < got.num_edges(); ++e) {
-        EXPECT_EQ(got.endpoints(e), want.endpoints(e)) << printable(text);
+    case 6:
+      if (text[i] == ' ' || text[i] == '\t') text[i] = "\t\v\f\r "[rng.next_below(5)];
+      break;
+    case 7:
+      text.erase(i, 1);
+      break;
+    case 8: {
+      const std::size_t b = line_start(i);
+      const std::size_t e = line_end(i);
+      if (rng.next_bool(0.5)) {
+        text.insert(e, text.substr(b, e - b));
+      } else {
+        text.erase(b, e - b);
       }
-      for (NodeId v = 0; v < got.num_nodes(); ++v) {
-        const auto a = got.incident(v);
-        const auto b = want.incident(v);
-        ASSERT_EQ(a.size(), b.size()) << printable(text);
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          EXPECT_EQ(a[i].neighbor, b[i].neighbor) << printable(text);
-          EXPECT_EQ(a[i].edge, b[i].edge) << printable(text);
-        }
-        EXPECT_EQ(got.local_id(v), want.local_id(v)) << printable(text);
+      break;
+    }
+    default:
+      text.insert(line_start(i), rng.next_bool(0.5) ? "c x\n" : "# x\n");
+      break;
+  }
+}
+
+// Longer texts under chains of two to four mutations: the two parsers still
+// agree on every verdict, graph and error.
+TEST(ParseFuzz, MutationChainsOnLongTextsMatchLineStreamOracle) {
+  Agreement seen;
+  int chains = 0;
+  for (const bool dimacs : {true, false}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const std::string base = long_text(dimacs, seed);
+      expect_parsers_agree(base, seen);
+      Rng rng(seed * 1000 + (dimacs ? 1 : 0));
+      for (int chain = 0; chain < 150; ++chain) {
+        std::string text = base;
+        for (int k = 2 + static_cast<int>(rng.next_below(3)); k > 0; --k) mutate(text, rng);
+        expect_parsers_agree(text, seen);
+        if (HasFatalFailure()) return;
+        ++chains;
       }
-      EXPECT_EQ(got.max_local_id(), want.max_local_id()) << printable(text);
-    } else if (got_error.find(": self-loop at node ") != std::string::npos) {
-      ++self_loops;
-      // The oracle fails later: at a later line, or after the last one.
-      const long long line = error_line(want_error);
-      EXPECT_TRUE(line < 0 || line > error_line(got_error))
-          << "on \"" << printable(text) << "\": new \"" << printable(got_error)
-          << "\", oracle \"" << printable(want_error) << "\"";
-    } else {
-      EXPECT_EQ(printable(got_error), printable(want_error)) << "on \"" << printable(text) << "\"";
     }
   }
-  EXPECT_GT(accepted, 0);
-  EXPECT_GT(self_loops, 0);
+  EXPECT_EQ(chains, 2 * 3 * 150);
+  EXPECT_GT(seen.accepted, 0);
 }
 
 TEST(ParseFuzz, ChurnMutantsParseOrThrowInvalidArgument) {
