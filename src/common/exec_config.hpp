@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace qplec {
@@ -38,7 +39,7 @@ const char* validation_tier_name(ValidationTier tier);
 
 /// Which ExecBackend implementation a solve runs on.
 enum class BackendKind {
-  kAuto,     ///< seed behavior: sharded when wants_sharding(), else serial
+  kAuto,     ///< sharded when shards > 1 and the graph is big enough
   kSerial,   ///< always the serial backend, regardless of shards
   kSharded,  ///< same gating as kAuto (named for explicitness in configs)
 };
@@ -111,7 +112,8 @@ struct ExecConfig {
   /// sequential scan (bench_roundloop sweeps {1,32,128,512} to prove it).
   int greedy_batch_quantum = 128;
 
-  /// Worker threads backing the sharded backend; <= 0 picks
+  /// Threads that run a sharded pass, the calling thread included (the pool
+  /// starts shard_threads - 1 helpers; 1 runs every lane inline); <= 0 picks
   /// min(shards, hardware concurrency).  Ignored when shared_pool is set
   /// (the lease carries its own size).
   int shard_threads = 0;
@@ -183,9 +185,12 @@ struct ExecConfig {
     return max_cache_entries > 0 && max_cache_bytes > 0;
   }
 
-  /// True when this configuration shards a graph of `num_edges` edges.
-  bool wants_sharding(int num_edges) const {
-    return shards > 1 && num_edges >= min_sharded_edges;
+  /// True when this configuration shards a graph of `num_edges` edges; with
+  /// no argument, whether it shards any graph at all.  The one backend
+  /// predicate: Solver::run, the churn repair, the reported shard count and
+  /// the service's shard pool all read it.
+  bool wants_sharding(int num_edges = std::numeric_limits<int>::max()) const {
+    return backend != BackendKind::kSerial && shards > 1 && num_edges >= min_sharded_edges;
   }
 
   /// Shard count a solve over `num_edges` edges actually runs with: 1 on the

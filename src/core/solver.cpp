@@ -47,7 +47,7 @@ SolveResult Solver::run(const ListEdgeColoringInstance& instance, double slack,
   // serial.
   std::unique_ptr<ShardedExecution> sharded;
   const ExecBackend* exec = nullptr;
-  if (config_.backend != BackendKind::kSerial && config_.wants_sharding(g.num_edges())) {
+  if (config_.wants_sharding(g.num_edges())) {
     sharded = std::make_unique<ShardedExecution>(g, config_);
     exec = &sharded->backend();
   }

@@ -194,8 +194,8 @@ const ExecBackend& serial_backend();
 /// Bundles the pool + backend lifetime for one sharded solve: the Solver
 /// materializes one of these per instance it decides to shard.  With
 /// ExecConfig::shared_pool set the execution runs on the leased pool and
-/// owns no threads of its own; otherwise it spawns (and joins) a pool sized
-/// min(shards, hardware concurrency).
+/// owns no threads of its own; otherwise it owns a pool of
+/// ExecConfig::pool_threads() threads, the calling thread included.
 class ShardedExecution {
  public:
   ShardedExecution(const Graph& g, const ExecConfig& config);

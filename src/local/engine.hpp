@@ -9,9 +9,9 @@
 //
 // The engine is used to run the primitive symmetry-breaking algorithms
 // (color reduction, greedy-by-class) as genuine node programs; the
-// higher-level recursion of the paper uses the edge-local framework (see
-// buffered.hpp) with the RoundLedger, and a cross-check test asserts both
-// execution paths agree where they overlap.
+// higher-level recursion of the paper runs its edge-local passes on
+// ExecBackend (src/dist/backend.hpp) and charges them to a RoundLedger, and
+// a cross-check test asserts both execution paths agree where they overlap.
 #pragma once
 
 #include <cstdint>

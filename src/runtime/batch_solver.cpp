@@ -32,9 +32,9 @@ BatchSolver::BatchSolver(ExecConfig config, bool keep_colors)
 int BatchSolver::num_threads() const { return config_.worker_threads(); }
 
 BatchReport BatchSolver::run(const std::vector<Scenario>& manifest) const {
-  // The service owns both pools (scenario workers + the one shard-worker
-  // lease every sharded solve shares); a caller-provided shared pool is
-  // passed through and must outlive the batch.
+  // The service owns the scenario workers and the one shard pool every
+  // sharded solve leases; a caller-provided shared pool is passed through
+  // and must outlive the batch.
   BatchReport report;
   report.results.resize(manifest.size());
 
@@ -81,7 +81,7 @@ BatchReport BatchSolver::run(const std::vector<Scenario>& manifest) const {
           r.solve_ms > 0 ? static_cast<double>(r.num_edges) / (r.solve_ms / 1000.0) : 0.0;
       if (keep_colors_) r.colors = std::move(out.result.colors);
     }
-  }  // service winds down before the wall clock stops, like the old pool did
+  }  // service winds down before the wall clock stops
   report.wall_ms = ms_since(batch_start);
 
   for (const ScenarioResult& r : report.results) {

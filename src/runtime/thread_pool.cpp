@@ -2,23 +2,22 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "src/common/assert.hpp"
 #include "src/obs/metrics.hpp"
 
 namespace qplec {
 
+using Clock = std::chrono::steady_clock;
+
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
+    num_threads = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   }
-  queues_.reserve(static_cast<std::size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  workers_.reserve(static_cast<std::size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  helpers_.reserve(static_cast<std::size_t>(num_threads - 1));
+  for (int i = 1; i < num_threads; ++i) {
+    helpers_.emplace_back([this, i] { helper_loop(i); });
   }
 }
 
@@ -31,11 +30,11 @@ void ThreadPool::enable_metrics(const std::string& name) {
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(batch_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  batch_cv_.notify_all();
-  for (auto& w : workers_) w.join();
+  start_cv_.notify_all();
+  for (auto& h : helpers_) h.join();
 }
 
 void ThreadPool::run_indexed(int num_tasks, const std::function<void(int, int)>& fn) {
@@ -43,120 +42,68 @@ void ThreadPool::run_indexed(int num_tasks, const std::function<void(int, int)>&
   if (num_tasks == 0) return;
 
   // One batch at a time: a leased pool can be hit by several sharded solves
-  // concurrently, and the queues/epoch/error state below assume exclusive
-  // ownership for the duration of one batch.
+  // concurrently.  No batch is open here, so no helper reads the state set
+  // below until the batch opens under mu_.
   std::lock_guard<std::mutex> lease(lease_mu_);
+  num_tasks_ = num_tasks;
+  next_task_.store(0, std::memory_order_relaxed);
 
-  // Seed each worker's deque with a contiguous block of indices.
-  const int n_workers = num_threads();
-  int next = 0;
-  for (int w = 0; w < n_workers; ++w) {
-    const int count = num_tasks / n_workers + (w < num_tasks % n_workers ? 1 : 0);
-    std::lock_guard<std::mutex> lock(queues_[static_cast<std::size_t>(w)]->mu);
-    for (int k = 0; k < count; ++k) {
-      queues_[static_cast<std::size_t>(w)]->tasks.push_back(next++);
-    }
-  }
-  QPLEC_REQUIRE(next == num_tasks);
-
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    batch_fn_ = &fn;
-    tasks_remaining_ = num_tasks;
-    first_error_ = nullptr;
-    ++batch_epoch_;
-  }
-  batch_cv_.notify_all();
-
-  // Wait for both conditions: every task executed AND every worker out of the
-  // batch loop — otherwise a lingering worker could observe the next batch's
-  // queues while holding a dangling pointer to this batch's fn.
-  std::unique_lock<std::mutex> lock(batch_mu_);
-  done_cv_.wait(lock, [this] { return tasks_remaining_ == 0 && active_workers_ == 0; });
-  batch_fn_ = nullptr;
-  if (first_error_) std::rethrow_exception(first_error_);
-}
-
-bool ThreadPool::try_pop_or_steal(int worker_id, int* task) {
-  // Own queue first (front: preserves the block order seeded above).
-  {
-    WorkerQueue& own = *queues_[static_cast<std::size_t>(worker_id)];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      *task = own.tasks.front();
-      own.tasks.pop_front();
-      return true;
-    }
-  }
-  // Steal half the back of the fullest victim.
-  const int n_workers = num_threads();
-  int victim = -1;
-  std::size_t victim_size = 0;
-  for (int w = 0; w < n_workers; ++w) {
-    if (w == worker_id) continue;
-    WorkerQueue& q = *queues_[static_cast<std::size_t>(w)];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (q.tasks.size() > victim_size) {
-      victim_size = q.tasks.size();
-      victim = w;
-    }
-  }
-  if (victim < 0) return false;
-  WorkerQueue& own = *queues_[static_cast<std::size_t>(worker_id)];
-  WorkerQueue& q = *queues_[static_cast<std::size_t>(victim)];
-  // Consistent order (lower index first) to avoid lock-order inversion.
-  std::scoped_lock lock(worker_id < victim ? own.mu : q.mu,
-                        worker_id < victim ? q.mu : own.mu);
-  if (q.tasks.empty()) return false;  // raced with the victim
-  const std::size_t grab = (q.tasks.size() + 1) / 2;
-  for (std::size_t k = 0; k < grab - 1; ++k) {
-    own.tasks.push_front(q.tasks.back());
-    q.tasks.pop_back();
-  }
-  *task = q.tasks.back();
-  q.tasks.pop_back();
-  return true;
-}
-
-void ThreadPool::worker_loop(int worker_id) {
-  std::uint64_t seen_epoch = 0;
-  while (true) {
-    const std::function<void(int, int)>* fn = nullptr;
+  const bool fork = !helpers_.empty() && num_tasks > 1;
+  if (fork) {
     {
-      std::unique_lock<std::mutex> lock(batch_mu_);
-      batch_cv_.wait(lock, [&] {
-        return shutdown_ || (batch_fn_ != nullptr && batch_epoch_ != seen_epoch);
-      });
-      if (shutdown_) return;
-      seen_epoch = batch_epoch_;
-      fn = batch_fn_;
-      ++active_workers_;
+      std::lock_guard<std::mutex> lock(mu_);
+      fn_ = &fn;
+      ++epoch_;
     }
-    int task = -1;
-    while (try_pop_or_steal(worker_id, &task)) {
-      // Lane-time telemetry rides the task boundary: two clock reads per
-      // task, only once enable_metrics armed the counters.
-      const bool timed = busy_us_total_ != nullptr;
-      const auto t0 = timed ? std::chrono::steady_clock::now()
-                            : std::chrono::steady_clock::time_point{};
-      try {
-        (*fn)(worker_id, task);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(batch_mu_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-      if (timed) {
-        const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-        busy_us_total_->inc(worker_id, static_cast<std::uint64_t>(us));
-        tasks_total_->inc(worker_id, 1);
-      }
-      std::lock_guard<std::mutex> lock(batch_mu_);
-      --tasks_remaining_;
+    start_cv_.notify_all();
+  }
+  drain(0, fn);
+  if (fork) {
+    // Every task is claimed.  Close the batch so a helper that wakes late
+    // stays out of it, then wait for the helpers still running a claim.
+    std::unique_lock<std::mutex> lock(mu_);
+    fn_ = nullptr;
+    done_cv_.wait(lock, [this] { return active_ == 0; });
+  }
+  if (first_error_) std::rethrow_exception(std::exchange(first_error_, nullptr));
+}
+
+void ThreadPool::drain(int worker_id, const std::function<void(int, int)>& fn) {
+  // Lane-time telemetry rides the task boundary: two clock reads per task,
+  // only once enable_metrics armed the counters.
+  const bool timed = busy_us_total_ != nullptr;
+  for (;;) {
+    const int task = next_task_.fetch_add(1, std::memory_order_relaxed);
+    if (task >= num_tasks_) return;
+    const auto t0 = timed ? Clock::now() : Clock::time_point{};
+    try {
+      fn(worker_id, task);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!first_error_) first_error_ = std::current_exception();
     }
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    if (--active_workers_ == 0 && tasks_remaining_ == 0) done_cv_.notify_all();
+    if (timed) {
+      const auto us =
+          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0).count();
+      busy_us_total_->inc(worker_id, static_cast<std::uint64_t>(us));
+      tasks_total_->inc(worker_id, 1);
+    }
+  }
+}
+
+void ThreadPool::helper_loop(int worker_id) {
+  std::uint64_t seen_epoch = 0;
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    start_cv_.wait(lock, [&] { return shutdown_ || (fn_ != nullptr && epoch_ != seen_epoch); });
+    if (shutdown_) return;
+    seen_epoch = epoch_;
+    const std::function<void(int, int)>& fn = *fn_;
+    ++active_;
+    lock.unlock();
+    drain(worker_id, fn);
+    lock.lock();
+    if (--active_ == 0) done_cv_.notify_one();
   }
 }
 

@@ -484,9 +484,8 @@ struct SolveService::Impl {
   std::unique_ptr<ThreadPool> owned_shard_pool;  ///< null: serial or leased
   ThreadPool* shard_pool = nullptr;              ///< the lease handed to solves
 
-  std::unique_ptr<ThreadPool> workers;  ///< hosts the solve-worker loops
-  std::thread pump;   ///< blocks in workers->run_indexed for the service lifetime
-  std::thread timer;  ///< deadline sweeper: expires queued jobs eagerly
+  std::vector<std::thread> workers;  ///< each runs worker_loop until drained
+  std::thread timer;                 ///< deadline sweeper: expires queued jobs eagerly
 };
 
 SolveService::SolveService(ExecConfig config)
@@ -505,11 +504,11 @@ SolveService::SolveService(ExecConfig config)
   if (config_.max_cache_entries > 0) impl_->snapshot_max_entries = config_.max_cache_entries;
   if (config_.max_cache_bytes > 0) impl_->snapshot_max_bytes = config_.max_cache_bytes;
 
-  // The shard-worker lease (PR 3 pool-ownership rules): one pool, sized once,
-  // shared by every solve this service routes to the sharded backend.  It
-  // must be a DIFFERENT pool than the solve workers' — a worker fanning a
-  // round out onto its own pool would self-deadlock behind the lease.
-  if (config_.shards > 1) {
+  // The shard-worker lease: one pool, sized once, shared by every solve this
+  // service routes to the sharded backend.  The solve workers are plain
+  // threads, so a worker fanning a pass out onto the lease joins it as the
+  // pool's calling thread.
+  if (config_.wants_sharding()) {
     if (config_.shared_pool != nullptr) {
       impl_->shard_pool = config_.shared_pool;
     } else {
@@ -519,18 +518,10 @@ SolveService::SolveService(ExecConfig config)
     }
   }
 
-  impl_->workers = std::make_unique<ThreadPool>(config_.worker_threads());
-  // The solve-worker pool hosts everlasting worker_loop tasks, so pool-level
-  // task timing would be meaningless for it; the service-level busy/queue
-  // gauges cover these workers instead.
-  ServiceTelemetry::get().workers_total.set(impl_->workers->num_threads());
-  // The solve workers are hosted ON the work-stealing pool: one everlasting
-  // run_indexed batch with exactly one worker-loop task per pool worker.  The
-  // pump thread parks inside run_indexed until shutdown drains the queue.
-  const int n = impl_->workers->num_threads();
-  impl_->pump = std::thread([this, n] {
-    impl_->workers->run_indexed(n, [this](int, int) { worker_loop(); });
-  });
+  const int n = config_.worker_threads();
+  ServiceTelemetry::get().workers_total.set(n);
+  impl_->workers.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) impl_->workers.emplace_back([this] { worker_loop(); });
   impl_->timer = std::thread([this] { timer_loop(); });
 }
 
@@ -541,7 +532,7 @@ SolveService::~SolveService() {
   }
   impl_->cv.notify_all();
   impl_->timer_cv.notify_all();
-  impl_->pump.join();
+  for (auto& w : impl_->workers) w.join();
   impl_->timer.join();
   // All jobs drained; the trace session (if any) is quiescent — export it.
   if (!config_.trace_path.empty()) {
@@ -550,7 +541,7 @@ SolveService::~SolveService() {
   }
 }
 
-int SolveService::workers() const { return impl_->workers->num_threads(); }
+int SolveService::workers() const { return static_cast<int>(impl_->workers.size()); }
 
 SolveTicket SolveService::submit(SolveRequest request) {
   auto job = std::make_shared<SolveTicket::Job>();

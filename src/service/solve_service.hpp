@@ -11,14 +11,14 @@
 //   if (out.ok()) use(out.result);
 //
 // Design points:
-//   * ONE priority queue, drained by a fixed set of solve workers hosted on
-//     the existing work-stealing ThreadPool (the pool schedules the workers,
-//     the queue schedules the jobs: highest priority first, FIFO within a
-//     priority).  Submission never blocks on solving.
-//   * ONE shared shard-worker pool (the PR 3 lease rules): every job routed
-//     to the sharded backend leases the same pool via
-//     ExecConfig::shared_pool, so concurrent big instances serialize their
-//     round fan-outs instead of oversubscribing the machine.
+//   * ONE priority queue, drained by ExecConfig::workers plain solve-worker
+//     threads (the queue schedules the jobs: highest priority first, FIFO
+//     within a priority).  Submission never blocks on solving.
+//   * At most ONE shard pool: every job routed to the sharded backend leases
+//     the same fork-join ThreadPool via ExecConfig::shared_pool, so
+//     concurrent big instances serialize their round fan-outs instead of
+//     oversubscribing the machine.  The solve worker that fans a pass out
+//     runs its own share of it as the pool's worker 0.
 //   * The API boundary never throws: every failure mode — malformed input,
 //     cancellation, a missed deadline, a violated paper invariant — lands in
 //     SolveOutcome::status with the error detail preserved.

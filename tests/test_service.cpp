@@ -391,6 +391,57 @@ TEST(SolveServiceSource, RelaxedSolveMatchesDirect) {
   EXPECT_EQ(out.result.rounds, reference.rounds);
 }
 
+// backend = serial wins over shards everywhere: the solve and the churn
+// repair run serial, report one shard, and the service starts no shard pool
+// (its `qplec_pool_shard_workers` gauge stays unset).
+TEST(SolveService, SerialBackendIgnoresShardsForSolveAndUpdate) {
+  const Scenario scenario{GraphFamily::kRegular, 64, ListFlavor::kTwoDelta,
+                          PolicyKind::kPractical, 7, 6};
+  const ChurnBatch batch = make_random_churn(build_instance(scenario).graph, 4, 4, 1234);
+
+  struct Run {
+    SolveOutcome solve;
+    SolveOutcome update;
+  };
+  obs::Gauge& shard_workers = obs::MetricsRegistry::global().gauge("qplec_pool_shard_workers");
+  const auto run = [&](const ExecConfig& config) {
+    SolveService service(config);
+    Run r;
+    const SolveTicket base = service.submit(SolveRequest::from_scenario(scenario));
+    r.solve = base.wait();
+    r.update = service.update(base, batch).wait();
+    return r;
+  };
+
+  ExecConfig config;
+  config.workers = 1;
+  const Run reference = run(config);
+  config.shards = 4;
+  config.min_sharded_edges = 0;
+  config.backend = BackendKind::kSerial;
+  obs::MetricsRegistry::global().set_enabled(true);
+  shard_workers.set(0);
+  const Run serial = run(config);
+  EXPECT_EQ(shard_workers.value(), 0) << "a serial service started a shard pool";
+  // The probe itself: the same config on the default backend does start one.
+  config.backend = BackendKind::kAuto;
+  const Run sharded = run(config);
+  EXPECT_GT(shard_workers.value(), 0);
+
+  for (const Run* r : {&reference, &serial, &sharded}) {
+    ASSERT_EQ(r->solve.status, SolveStatus::kOk) << r->solve.error;
+    ASSERT_EQ(r->update.status, SolveStatus::kOk) << r->update.error;
+    EXPECT_TRUE(r->update.repaired);
+  }
+  EXPECT_EQ(serial.solve.shards, 1);
+  EXPECT_EQ(serial.update.shards, 1);
+  EXPECT_EQ(serial.solve.colors_hash, reference.solve.colors_hash);
+  EXPECT_EQ(serial.update.colors_hash, reference.update.colors_hash);
+  EXPECT_EQ(sharded.solve.shards, 4);
+  EXPECT_EQ(sharded.solve.colors_hash, reference.solve.colors_hash);
+  EXPECT_EQ(sharded.update.colors_hash, reference.update.colors_hash);
+}
+
 TEST(SolveService, EmptyDefaultRequestSolvesToEmptyColoring) {
   SolveService service;
   const SolveOutcome out = service.solve(SolveRequest());

@@ -1,12 +1,15 @@
-// The work-stealing pool's contract: every task runs exactly once, batches
-// can be reused back-to-back, and exceptions surface to the caller.
+// The fork-join pool's contract: every task runs exactly once, the caller
+// runs its share as worker 0 (all of it in a one-thread pool), batches can be
+// reused back-to-back, and exceptions surface to the caller.
 #include "src/runtime/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace qplec {
@@ -36,6 +39,53 @@ TEST(ThreadPool, WorkerIdsAreInRange) {
   EXPECT_TRUE(ok.load());
 }
 
+TEST(ThreadPool, OneThreadRunsEveryTaskOnTheCaller) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  const int n = 50;
+  std::vector<std::thread::id> ran_on(n);
+  std::vector<int> workers(n, -1);
+  pool.run_indexed(n, [&](int worker, int task) {
+    ran_on[static_cast<std::size_t>(task)] = std::this_thread::get_id();
+    workers[static_cast<std::size_t>(task)] = worker;
+  });
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(ran_on[static_cast<std::size_t>(i)], caller) << "task " << i;
+    EXPECT_EQ(workers[static_cast<std::size_t>(i)], 0) << "task " << i;
+  }
+}
+
+TEST(ThreadPool, WorkerZeroIsTheCallerAndHelpersAreOtherThreads) {
+  const int threads = 4;
+  ThreadPool pool(threads);
+  const std::thread::id caller = std::this_thread::get_id();
+  const int n = 64;
+  std::vector<std::thread::id> ran_on(n);
+  std::vector<int> workers(n, -1);
+  pool.run_indexed(n, [&](int worker, int task) {
+    ran_on[static_cast<std::size_t>(task)] = std::this_thread::get_id();
+    workers[static_cast<std::size_t>(task)] = worker;
+    // Long enough that the caller claims a task before the helpers drain
+    // the batch.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  });
+  std::vector<std::thread::id> thread_of(threads);
+  int caller_tasks = 0;
+  for (int i = 0; i < n; ++i) {
+    const int w = workers[static_cast<std::size_t>(i)];
+    ASSERT_GE(w, 0) << "task " << i;
+    ASSERT_LT(w, threads) << "task " << i;
+    const std::thread::id id = ran_on[static_cast<std::size_t>(i)];
+    EXPECT_EQ(w == 0, id == caller) << "task " << i << " ran as worker " << w;
+    caller_tasks += w == 0 ? 1 : 0;
+    // One worker id, one thread.
+    auto& slot = thread_of[static_cast<std::size_t>(w)];
+    if (slot == std::thread::id{}) slot = id;
+    EXPECT_EQ(slot, id) << "worker " << w << " ran on two threads";
+  }
+  EXPECT_GT(caller_tasks, 0);
+}
+
 TEST(ThreadPool, BatchesAreReusable) {
   ThreadPool pool(4);
   std::atomic<std::int64_t> sum{0};
@@ -46,8 +96,8 @@ TEST(ThreadPool, BatchesAreReusable) {
 }
 
 TEST(ThreadPool, SkewedTasksAllComplete) {
-  // One task is vastly more expensive than the rest; stealing must keep the
-  // cheap tail from waiting behind it on the same worker.
+  // One task is vastly more expensive than the rest; claiming tasks from one
+  // counter keeps the cheap tail from waiting behind it on the same worker.
   ThreadPool pool(4);
   std::atomic<int> done{0};
   pool.run_indexed(40, [&](int, int task) {
