@@ -18,10 +18,8 @@
 // instead measures the coordination overhead.  --min-speedup X turns the
 // bench into a regression gate: it exits non-zero unless the regular-graph
 // sweep reaches speedup >= X at --min-speedup-shards (default: the largest
-// shard count) — CI runs this on its multi-core runners.  Unlike the
-// google-benchmark experiments this is a plain executable: it has no
-// dependency to be skipped over, and CI uploads its BENCH_sharded.json
-// artifact on every run.
+// shard count) — CI runs this on its multi-core runners and uploads its
+// BENCH_sharded.json artifact on every run.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

@@ -1,21 +1,14 @@
-// Shared support for the experiment benches: aligned table printing, a wall
-// clock, and the standard instance builders the experiments sweep over.
-//
-// Every bench binary prints its experiment table(s) first (the rows/series
-// DESIGN.md §5 maps to the paper's claims) and then runs its
-// google-benchmark micro section, so `./bench_x` with no arguments
-// regenerates the experiment.
+// Shared support for the plain benches: aligned table printing, a banner,
+// and the large-instance stressors the scaling benches sweep over.
 #pragma once
 
-#include <chrono>
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "src/graph/generators.hpp"
-#include "src/runtime/batch_solver.hpp"
-#include "src/runtime/reporter.hpp"
-#include "src/runtime/scenarios.hpp"
 
 namespace qplec::bench {
 
@@ -104,43 +97,11 @@ inline std::string fmt(std::int64_t v) { return std::to_string(v); }
 inline std::string fmt(int v) { return std::to_string(v); }
 inline std::string fmt(std::uint64_t v) { return std::to_string(v); }
 
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  double ms() const {
-    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                     start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
 inline void banner(const char* experiment, const char* claim) {
   std::printf("==============================================================\n");
   std::printf("%s\n", experiment);
   std::printf("  claim under test: %s\n", claim);
   std::printf("==============================================================\n\n");
-}
-
-/// Runs a scenario manifest through the parallel batch runtime and writes the
-/// machine-readable trajectory file BENCH_<name>.json next to the binary.
-/// The experiment tables stay human-readable; the JSON is what perf tracking
-/// consumes.  threads <= 0 uses the hardware concurrency.
-inline BatchReport run_batch(const char* name, const std::vector<Scenario>& manifest,
-                             int threads = 0) {
-  ExecConfig config;
-  config.workers = threads;
-  const BatchReport report = BatchSolver(config).run(manifest);
-  BenchReporter reporter;
-  reporter.set("bench", name).set("algorithm", "bko_podc2020");
-  const std::string path = std::string("BENCH_") + name + ".json";
-  reporter.write_json_file(report, path);
-  std::printf("[%s] %zu scenarios on %d threads: %.1f ms wall, %.0f edges/s -> %s\n\n",
-              name, report.results.size(), report.num_threads, report.wall_ms,
-              report.edges_per_sec(), path.c_str());
-  return report;
 }
 
 }  // namespace qplec::bench

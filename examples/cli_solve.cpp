@@ -266,7 +266,7 @@ int main(int argc, char** argv) {
   const bool service_owns_trace =
       algorithm == "bko" && !serial_compat && !trace_path.empty();
   if (!trace_path.empty() && !service_owns_trace) {
-    trace::start(config.trace_ring_capacity);
+    trace::start(trace::kRingCapacity);
   }
   const auto finish_observability = [&] {
     if (!trace_path.empty() && !service_owns_trace) {

@@ -120,6 +120,6 @@ int main() {
   figure_5();
   figure_6();
   std::printf("Every quantitative statement above is also enforced as a runtime\n"
-              "assertion inside the library (see tests/ and DESIGN.md §5).\n");
+              "assertion inside the library (see tests/ and bench/bench_paper.cpp).\n");
   return 0;
 }

@@ -10,8 +10,10 @@
 // polynomials of degree <= k agree on at most k points, at most d*k points
 // are bad, so q >= d*k + 1 guarantees a choice.  The new color is the pair
 // (a, p(a)) < q^2.  Iterating is the classic O(log* m)-round reduction
-// [Lin87]; the fixpoint palette is O(d^2) (with a constant ~4, slightly
-// larger than Linial's cover-free-family optimum — see DESIGN.md §8).
+// [Lin87]; the fixpoint palette is O(d^2) with a constant ~4: the last step
+// has k = 2, so q is the first prime >= 2d + 1.  That is larger than the
+// optimum of Linial's cover-free families, the price of building the family
+// from polynomials.
 #pragma once
 
 #include <cstdint>

@@ -31,7 +31,7 @@ class ThreadPool;
 /// Solver::run, are NOT tiered — they always run.
 enum class ValidationTier {
   kOff,         ///< demoted walks never run (fastest; final validation still on)
-  kSampled,     ///< every validation_sample_period-th due site runs (Release default)
+  kSampled,     ///< every ValidationGate::kSamplePeriod-th due site runs (Release default)
   kEveryRound,  ///< seed behavior: every walk, every round (Debug/CI default)
 };
 
@@ -60,9 +60,11 @@ ValidationTier default_validation_tier();
 /// kSampled, so every engine validates its opening round.
 class ValidationGate {
  public:
+  /// Under kSampled, one in this many due() draws runs the walk.
+  static constexpr int kSamplePeriod = 16;
+
   ValidationGate() = default;
-  ValidationGate(ValidationTier tier, int sample_period)
-      : tier_(tier), period_(sample_period < 1 ? 1 : sample_period) {}
+  explicit ValidationGate(ValidationTier tier) : tier_(tier) {}
 
   bool due() {
     switch (tier_) {
@@ -74,7 +76,7 @@ class ValidationGate {
         break;
     }
     const bool run = counter_ == 0;
-    counter_ = (counter_ + 1) % period_;
+    counter_ = (counter_ + 1) % kSamplePeriod;
     return run;
   }
 
@@ -82,7 +84,6 @@ class ValidationGate {
 
  private:
   ValidationTier tier_ = ValidationTier::kEveryRound;
-  int period_ = 16;
   int counter_ = 0;
 };
 
@@ -133,10 +134,6 @@ struct ExecConfig {
   /// Cadence of the demoted invariant walks (see ValidationTier).
   ValidationTier validation_tier = default_validation_tier();
 
-  /// Under ValidationTier::kSampled, one in this many due() draws runs the
-  /// walk (the first draw of every gate always runs).
-  int validation_sample_period = 16;
-
   /// Master switch of the process-wide MetricsRegistry (src/obs/metrics.hpp).
   /// On by default — counters/gauges/histograms record; off turns every
   /// instrument write into one relaxed atomic load.  Observers only: solved
@@ -149,10 +146,6 @@ struct ExecConfig {
   /// trace_event JSON here at teardown.  Empty (default): tracing off, span
   /// sites cost one relaxed load.
   std::string trace_path{};
-
-  /// Per-thread span ring capacity while tracing (events; oldest dropped on
-  /// overflow, so a long solve keeps its most recent window).
-  int trace_ring_capacity = 8192;
 
   /// SolveService result cache (src/service/result_cache.hpp): completed Ok
   /// outcomes are memoized by request fingerprint behind an LRU bounded by
@@ -223,7 +216,7 @@ struct ExecConfig {
 
   /// Validation gate seeded from this config (one per engine/solve).
   ValidationGate make_validation_gate() const {
-    return ValidationGate(validation_tier, validation_sample_period);
+    return ValidationGate(validation_tier);
   }
 };
 

@@ -4,9 +4,10 @@
 //     beta = alpha * log^{4c} Delta-bar      (Lemma 4.2 slack target)
 //     p    = sqrt(Delta-bar)                 (Lemma 4.3/4.5 split factor)
 // with "a large enough constant alpha".  These only bite for astronomically
-// large Delta (see DESIGN.md §2): one color-space reduction step consumes a
-// slack factor of 24*H_{2p}*log2(p) >= 50, so beta below 50 can never afford
-// a reduction step at all.  The policy object makes the choices explicit:
+// large Delta (src/core/recurrence.hpp evaluates the bounds with explicit
+// constants): one color-space reduction step consumes a slack factor of
+// 24*H_{2p}*log2(p) >= 50, so beta below 50 can never afford a reduction step
+// at all.  The policy object makes the choices explicit:
 //
 //   * Policy::practical()  — beta fixed at 50 (the smallest value that
 //     enables space reduction with p = 2), p chosen as the largest value the

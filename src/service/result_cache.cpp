@@ -152,7 +152,6 @@ std::uint64_t fingerprint_exec_knobs(const ExecConfig& config) {
   f.mix(config.shards);
   f.mix(config.min_sharded_edges);
   f.mix(static_cast<int>(config.validation_tier));
-  f.mix(config.validation_sample_period);
   // The repair/fallback decision changes an update's rounds/ledger surface,
   // so a different budget must be a different cache key.
   f.mix(config.recolor_budget);

@@ -1,4 +1,5 @@
-// The engine cross-check (DESIGN.md §6): the literal message-passing
+// The engine cross-check (docs/ARCHITECTURE.md, "The two execution
+// backends", on node programs): the literal message-passing
 // implementation of greedy-by-class must agree color-for-color with the
 // conflict-view implementation, and its engine round count must match the
 // framework's schedule.

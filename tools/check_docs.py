@@ -14,7 +14,11 @@ Two checks:
 2. Link integrity (always).  Every relative markdown link in every
    tracked *.md file must resolve to an existing file or directory.
    http(s)/mailto links and pure #anchors are skipped; a #fragment on a
-   relative link is stripped before the existence check.
+   relative link is stripped before the existence check.  And every
+   `NAME.md` mention in a file under src/, tests/, examples/ or bench/ --
+   a code comment or a printed string -- must name a file of the repo: by
+   its path from the repository root or from the mentioning file, or, for
+   a bare name, by the file name of some *.md in the repo.
 
 Usage:
   check_docs.py --repo ROOT --links-only
@@ -31,6 +35,8 @@ import sys
 
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+MD_MENTION_RE = re.compile(r"(?<![\w/.-])((?:[\w.-]+/)*[\w-]+\.md)\b")
+CODE_DIRS = ("src", "tests", "examples", "bench")
 BEGIN_MARK = "<!-- flags:begin -->"
 END_MARK = "<!-- flags:end -->"
 # Directories that hold generated or vendored trees, never our docs.
@@ -108,6 +114,33 @@ def check_links(repo):
     return errors
 
 
+def check_code_mentions(repo):
+    md_names = {md.name for md in markdown_files(repo)}
+    errors = 0
+    checked = 0
+    for top in CODE_DIRS:
+        for path in sorted((repo / top).rglob("*")):
+            if not path.is_file():
+                continue
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                continue
+            rel = path.relative_to(repo)
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for mention in MD_MENTION_RE.findall(line):
+                    checked += 1
+                    if "/" in mention:
+                        ok = (repo / mention).is_file() or (path.parent / mention).is_file()
+                    else:
+                        ok = mention in md_names
+                    if not ok:
+                        errors += fail(f"{rel}:{lineno}: {mention} names no file in the repo")
+    if errors == 0:
+        print(f"check_docs: code mentions OK ({checked} NAME.md mentions resolve)")
+    return errors
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repo", type=pathlib.Path, default=pathlib.Path("."),
@@ -121,7 +154,7 @@ def main():
     args = ap.parse_args()
 
     repo = args.repo.resolve()
-    errors = check_links(repo)
+    errors = check_links(repo) + check_code_mentions(repo)
     if not args.links_only:
         if not args.cli_solve or not args.batch_solve:
             return fail("full mode needs --cli-solve and --batch-solve "
