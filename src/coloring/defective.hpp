@@ -14,6 +14,19 @@
 //      3 * 4beta*(4beta+1)/2 = O(beta^2) colors.
 // Defect bound: ceil(deg(u)/4beta)-1 + ceil(deg(v)/4beta)-1 <= deg(e)/(2beta).
 // The implementation asserts this bound on every edge before returning.
+//
+// Step 3 costs the conflicts, not the edge set.  At node v, the edge with
+// v-side number a and far-side number b can only conflict with the edge of
+// its group that holds v-side number b, so each node finds its pairs by one
+// lookup per edge (no sort).  The path/cycle system is then built over the
+// edges of those pairs only.  An edge in no pair takes path/cycle color 0,
+// which is what the 3-coloring gives an isolated item: its greedy pick from
+// {0, 1, 2} sees no colored neighbor.  The conflicted edges get the colors
+// they would get on the full edge set, because Linial's step and the greedy
+// pick of an item read only its own component.  The rounds are unchanged
+// too: Linial's step count and the sweep's charge follow the palette
+// sequence (phi_palette, degree bound 2), never the number of items, so
+// even a split with no conflict at all charges the same rounds.
 #pragma once
 
 #include <cstdint>

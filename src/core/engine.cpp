@@ -131,7 +131,8 @@ int SolverEngine::max_induced_degree(const EdgeSubset& s) {
   return deg.max();
 }
 
-int SolverEngine::round_head(const EdgeSubset& H, const char* invariant) {
+int SolverEngine::round_head(const EdgeSubset& H, const char* invariant,
+                             std::vector<int>* degrees) {
   const bool validate = validation_due();
   // One superstep: the list refresh, the degree measurement and (when due)
   // the feasibility walk all read committed neighbor state and write only
@@ -148,6 +149,7 @@ int SolverEngine::round_head(const EdgeSubset& H, const char* invariant) {
   exec_->for_members(H, [&](int lane, EdgeId e) {
     const int di = cache_.consume_and_count(lane, e, work_, H);
     deg.lane(lane) = std::max(deg.lane(lane), di);
+    if (degrees != nullptr) (*degrees)[static_cast<std::size_t>(e)] = di;
     if (validate) {
       QPLEC_ASSERT_MSG(work_.size(e) >= di + 1, invariant << " violated at edge " << e);
     }
@@ -197,8 +199,11 @@ void SolverEngine::solve_no_slack(EdgeSubset H, int depth) {
     QPLEC_ASSERT_MSG(++guard <= 64, "no-slack outer loop failed to terminate");
     checkpoint();
     // Round head: refresh + degree measurement + (gated) the paper's
-    // invariant that the current subgraph is a (deg+1)-list instance.
-    const int d = round_head(H, "(deg+1)-list invariant");
+    // invariant that the current subgraph is a (deg+1)-list instance.  It
+    // also keeps each edge's induced degree: the split finalizes nothing, so
+    // these are the degrees at phase start that drive the activity test.
+    std::vector<int> deg0(static_cast<std::size_t>(g_.num_edges()), 0);
+    const int d = round_head(H, "(deg+1)-list invariant", &deg0);
 
     if (d <= policy_.base_degree_threshold) {
       solve_basecase(H);
@@ -210,26 +215,22 @@ void SolverEngine::solve_no_slack(EdgeSubset H, int depth) {
     const DefectiveColoring dc =
         defective_edge_coloring(g_, H, beta, phi_, phi_palette_, ledger_, exec_, &gate_);
 
-    // Degrees at phase start drive the activity test (always needed); the
-    // defect tightness statistic rides the same pass but is pure telemetry —
-    // its per-edge defect count is a neighborhood walk the validation tier
-    // may skip.  The ratio folds through a per-lane max (order-invariant),
-    // everything else is an e-owned write.
-    std::vector<int> deg0(static_cast<std::size_t>(g_.num_edges()), 0);
-    const bool defect_due = validation_due();
-    DeterministicReducer<double> defect_ratio(exec_->lanes(), stats_.max_defect_ratio);
-    exec_->for_members(H, [&](int lane, EdgeId e) {
-      deg0[static_cast<std::size_t>(e)] = cache_.induced_degree(lane, e, H);
-      if (!defect_due) return;
-      const int defect = edge_defect(g_, H, dc.cls, e);
-      if (defect > 0) {
-        const double bound = static_cast<double>(deg0[static_cast<std::size_t>(e)]) /
-                             (2.0 * static_cast<double>(beta));
-        defect_ratio.lane(lane) =
-            std::max(defect_ratio.lane(lane), static_cast<double>(defect) / bound);
-      }
-    });
-    if (defect_due) stats_.max_defect_ratio = defect_ratio.max();
+    // The defect tightness statistic is pure telemetry: its per-edge defect
+    // count is a neighborhood walk the validation tier may skip.  The ratio
+    // folds through a per-lane max (order-invariant).
+    if (validation_due()) {
+      DeterministicReducer<double> defect_ratio(exec_->lanes(), stats_.max_defect_ratio);
+      exec_->for_members(H, [&](int lane, EdgeId e) {
+        const int defect = edge_defect(g_, H, dc.cls, e);
+        if (defect > 0) {
+          const double bound = static_cast<double>(deg0[static_cast<std::size_t>(e)]) /
+                               (2.0 * static_cast<double>(beta));
+          defect_ratio.lane(lane) =
+              std::max(defect_ratio.lane(lane), static_cast<double>(defect) / bound);
+        }
+      });
+      stats_.max_defect_ratio = defect_ratio.max();
+    }
 
     std::vector<std::vector<EdgeId>> buckets(static_cast<std::size_t>(dc.num_classes));
     H.for_each([&](EdgeId e) {

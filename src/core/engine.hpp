@@ -185,8 +185,9 @@ class SolverEngine {
   // and (when the validation gate fires) the (deg+1) feasibility invariant
   // is walked — all in ONE backend pass.  Charges the one refresh round;
   // returns the measured degree.  `invariant` labels the feasibility
-  // assert's message.
-  int round_head(const EdgeSubset& H, const char* invariant);
+  // assert's message.  `degrees` (optional, sized to the edge count)
+  // receives each edge's induced degree in H.
+  int round_head(const EdgeSubset& H, const char* invariant, std::vector<int>* degrees = nullptr);
 
   // The solve_relaxed entry head: measure max induced degree over A and
   // (when the gate fires) walk the P(dbar, S, C) entry invariant in one
@@ -226,7 +227,7 @@ class SolverEngine {
   Color palette_;
   std::vector<std::uint64_t> phi_;
   std::uint64_t phi_palette_;
-  const Policy& policy_;
+  Policy policy_;  ///< held by value: a caller may pass a temporary
   RoundLedger& ledger_;
   SolverStats& stats_;
   int base_depth_;

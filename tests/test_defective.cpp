@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "src/coloring/initial.hpp"
 #include "src/coloring/linial.hpp"
 #include "src/coloring/validate.hpp"
+#include "src/common/rng.hpp"
 #include "src/graph/generators.hpp"
+#include "src/runtime/thread_pool.hpp"
+#include "tests/support/defective_oracle.hpp"
 
 namespace qplec {
 namespace {
@@ -130,6 +136,91 @@ TEST(Defective, DeterministicAcrossRuns) {
   const auto b = defective_edge_coloring(g, all, 3, init.colors, init.palette, l2);
   EXPECT_EQ(a.cls, b.cls);
   EXPECT_EQ(l1.total(), l2.total());
+}
+
+/// Runs the split and its sort-scan, full-edge-set oracle on the same input
+/// under a fresh validation gate of `tier` each, and requires the same
+/// classes, class count, rounds, ledger total and gate draws.
+void expect_matches_oracle(const std::string& where, const Graph& g, const EdgeSubset& H, int beta,
+                           const ExecBackend* exec, ValidationTier tier) {
+  SCOPED_TRACE(where + " beta=" + std::to_string(beta));
+  SCOPED_TRACE(tier == ValidationTier::kSampled ? "sampled" : "every_round");
+  const InitialColoring init = initial_edge_coloring_from_ids(g);
+  const auto run = [&](auto split, RoundLedger& ledger, ValidationGate& gate) {
+    return split(g, H, beta, init.colors, init.palette, ledger, exec, &gate);
+  };
+  RoundLedger ledger, oracle_ledger;
+  ValidationGate gate(tier), oracle_gate(tier);
+  const auto got = run(defective_edge_coloring, ledger, gate);
+  const auto want = run(test_support::oracle_defective_edge_coloring, oracle_ledger, oracle_gate);
+  EXPECT_EQ(got.cls, want.cls);
+  EXPECT_EQ(got.num_classes, want.num_classes);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(ledger.total(), oracle_ledger.total());
+  EXPECT_EQ(ledger.raw_total(), oracle_ledger.raw_total());
+  // Same number of draws: the next sampling period fires at the same spot.
+  for (int i = 0; i < ValidationGate::kSamplePeriod; ++i) {
+    ASSERT_EQ(gate.due(), oracle_gate.due()) << "gate draw " << i;
+  }
+}
+
+TEST(Defective, MatchesSortScanOracleAcrossGraphsSubsetsBetasAndShards) {
+  const std::pair<std::string, Graph> graphs[] = {
+      {"complete", make_complete(14).with_scrambled_ids(196, 3)},
+      {"regular", make_random_regular(60, 9, 5).with_scrambled_ids(3600, 4)},
+      {"gnp", make_gnp(50, 0.2, 7).with_scrambled_ids(2500, 6)},
+      {"power-law", make_power_law(120, 2.5, 30.0, 6).with_scrambled_ids(14400, 5)},
+      {"star", make_star(40).with_scrambled_ids(1681, 2)},
+  };
+  const ValidationTier tiers[] = {ValidationTier::kEveryRound, ValidationTier::kSampled};
+  ThreadPool pool(2);
+  Rng rng(26);
+  for (const auto& [name, g] : graphs) {
+    std::vector<std::pair<std::string, EdgeSubset>> subsets;
+    subsets.emplace_back("full", EdgeSubset::all(g));
+    for (const double keep : {0.3, 0.7}) {
+      EdgeSubset H(g.num_edges());
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
+        if (rng.next_bool(keep)) H.insert(e);
+      }
+      subsets.emplace_back("subset " + std::to_string(keep), std::move(H));
+    }
+    std::vector<std::unique_ptr<ExecBackend>> sharded;
+    for (const int shards : {1, 2, 7}) {
+      sharded.push_back(std::make_unique<ExecBackend>(g, shards, pool));
+    }
+    std::vector<const ExecBackend*> backends{nullptr};
+    for (const auto& b : sharded) backends.push_back(b.get());
+    for (const auto& [hname, H] : subsets) {
+      for (const int beta : {1, 2, 3, 5, 8, 50}) {
+        for (const ExecBackend* exec : backends) {
+          const std::string where =
+              name + " " + hname + " lanes=" + std::to_string(exec ? exec->lanes() : 0);
+          for (const ValidationTier tier : tiers) {
+            expect_matches_oracle(where, g, H, beta, exec, tier);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Defective, SplitWithoutConflictsChargesTheFullRounds) {
+  // A star's leaves number their one edge 1, so the hub's edges hold the
+  // distinct temporary colors {1, k}: no pair conflicts, the path/cycle
+  // system is empty, every 3-color is 0 — and the rounds are still those of
+  // the 3-coloring on the full edge set.
+  const Graph g = make_star(30).with_scrambled_ids(961, 4);
+  const EdgeSubset all = EdgeSubset::all(g);
+  for (const int beta : {1, 2, 8}) {
+    const InitialColoring init = initial_edge_coloring_from_ids(g);
+    RoundLedger ledger;
+    const DefectiveColoring dc =
+        defective_edge_coloring(g, all, beta, init.colors, init.palette, ledger);
+    all.for_each([&](EdgeId e) { EXPECT_EQ(dc.cls[static_cast<std::size_t>(e)] % 3, 0); });
+    EXPECT_GT(dc.rounds, 1);
+    expect_matches_oracle("star", g, all, beta, nullptr, ValidationTier::kEveryRound);
+  }
 }
 
 }  // namespace

@@ -141,5 +141,30 @@ TEST(SpaceReduce, DeterministicAcrossRuns) {
   EXPECT_EQ(a, b);
 }
 
+TEST(SpaceReduce, EngineBuiltFromATemporaryPolicyRunsLikeANamedOne) {
+  // The engine keeps its own copy of the Policy, so a temporary argument
+  // (as in `SolverEngine(..., Policy::practical(), ...)`) cannot dangle: the
+  // recursion reads the policy at every depth, space reductions included.
+  const auto tight = [] {
+    Policy p = Policy::practical();
+    p.base_degree_threshold = 4;
+    return p;
+  };
+  auto build = [] {
+    return make_slack_instance(
+        make_random_regular(24, 5, 3).with_scrambled_ids(576, 1), 60.0, 2048, 7);
+  };
+  Harness named_h(build()), temp_h(build());
+  named_h.policy = tight();
+  SolverEngine named = named_h.make_engine();
+  SolverEngine temp(temp_h.g, temp_h.inst.lists, temp_h.inst.palette_size, temp_h.phi,
+                    temp_h.phi_palette, tight(), temp_h.ledger, temp_h.stats, 0);
+  EXPECT_EQ(temp.solve_relaxed_instance(60.0), named.solve_relaxed_instance(60.0));
+  EXPECT_GE(temp_h.stats.space_reductions, 1);
+  EXPECT_EQ(temp_h.stats.space_reductions, named_h.stats.space_reductions);
+  EXPECT_EQ(temp_h.stats.basecase_calls, named_h.stats.basecase_calls);
+  EXPECT_EQ(temp_h.ledger.total(), named_h.ledger.total());
+}
+
 }  // namespace
 }  // namespace qplec
