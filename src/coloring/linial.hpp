@@ -48,15 +48,23 @@ struct LinialResult {
 /// of every active item.  Charges one round per iteration to the ledger.
 /// The per-item passes run on `exec` (null = the serial backend): every step
 /// writes only its own item's slot and reads the previous round's committed
-/// colors, so results are bit-identical for any backend and lane count.
-/// `gate` (optional) tiers the final standalone properness walk; the inline
-/// per-neighbor input asserts of each step always run.
+/// colors, so results are bit-identical for any backend and lane count.  The
+/// steps keep their colors and digit rows in slot-indexed scratch (nothing
+/// universe-sized) and write the active items' final colors into the result
+/// in place.
+/// `gate` (optional) tiers the final standalone properness walk.  The input
+/// check of each step always runs, on the collision path: an item compares
+/// its color with a neighbor's only where their values collide, and walks its
+/// row once more before reporting that no point was good (an equal-colored
+/// neighbor collides at every point), so every improper input throws
+/// InvariantViolation "linial_step requires a proper input coloring".
 LinialResult linial_reduce(const ConflictView& view, std::vector<std::uint64_t> colors,
                            std::uint64_t palette, int degree_bound, RoundLedger& ledger,
                            const ExecBackend* exec = nullptr,
                            ValidationGate* gate = nullptr);
 
-/// One reduction step with explicit parameters (exposed for tests).
+/// One reduction step with explicit parameters (exposed for tests): returns
+/// the full color vector, inactive items untouched.
 std::vector<std::uint64_t> linial_step(const ConflictView& view,
                                        const std::vector<std::uint64_t>& colors,
                                        LinialParams params,

@@ -1,5 +1,7 @@
 #include "src/common/field.hpp"
 
+#include <limits>
+
 #include "src/common/assert.hpp"
 
 namespace qplec {
@@ -70,7 +72,10 @@ FlatPolyEval::FlatPolyEval(std::uint32_t q, int k) : q_(q), recip_(0), k_(k) {
   recip_ = ~std::uint64_t{0} / q_;
 }
 
-void FlatPolyEval::digits(std::uint64_t value, std::uint32_t* row) const {
+template <typename Digit>
+void FlatPolyEval::digits(std::uint64_t value, Digit* row) const {
+  QPLEC_REQUIRE_MSG(q_ - 1 <= std::numeric_limits<Digit>::max(),
+                    "q=" << q_ << " has digits wider than the row type");
   for (int j = 0; j <= k_; ++j) {
     // Same estimate as reduce(), keeping the corrected quotient.
     auto quot = static_cast<std::uint64_t>((static_cast<__uint128_t>(value) * recip_) >> 64);
@@ -79,11 +84,14 @@ void FlatPolyEval::digits(std::uint64_t value, std::uint32_t* row) const {
       r -= q_;
       ++quot;
     }
-    row[j] = static_cast<std::uint32_t>(r);
+    row[j] = static_cast<Digit>(r);
     value = quot;
   }
   QPLEC_REQUIRE_MSG(value == 0, "value does not fit in q^(k+1)");
 }
+
+template void FlatPolyEval::digits(std::uint64_t, std::uint16_t*) const;
+template void FlatPolyEval::digits(std::uint64_t, std::uint32_t*) const;
 
 GFPoly::GFPoly(std::vector<std::uint32_t> coeffs, std::uint32_t q)
     : coeffs_(std::move(coeffs)), q_(q) {

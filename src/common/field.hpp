@@ -7,6 +7,14 @@
 // path uses: digit rows times power rows, one reciprocal reduction per value.
 // Its limit, q < 2^31 and (k+1)(q-1)^2 < 2^64, is the one choose_linial_params
 // honours.  GFPoly is the plain Horner reference the tests check it against.
+//
+// Row layout: a digit row is k+1 digits, lowest first, of any unsigned type
+// that holds q-1; Linial's step stores a whole table of them, uint16_t when
+// q < 2^16 (every step of the benchmark workloads) and uint32_t otherwise,
+// so a neighbor's row costs 2(k+1) bytes of gather instead of 4(k+1).  A
+// power row is always uint32_t.  The row-walking members take the row width
+// as an optional template argument W: W = k+1 lets the compiler unroll the
+// dot product, W = 0 (the default) loops to width().
 #pragma once
 
 #include <cstdint>
@@ -52,23 +60,29 @@ class FlatPolyEval {
   }
 
   /// Writes the width() base-q digits of value to row.  Requires
-  /// value < q^(k+1).
-  void digits(std::uint64_t value, std::uint32_t* row) const;
+  /// value < q^(k+1); Digit (uint16_t or uint32_t) must hold q-1.
+  template <typename Digit>
+  void digits(std::uint64_t value, Digit* row) const;
 
-  /// Writes a^0..a^k mod q to row.  Requires a < q.
+  /// Writes a^0..a^k mod q to row.  Requires a < q, and W == 0 or
+  /// W == width().
+  template <int W = 0>
   void powers(std::uint32_t a, std::uint32_t* row) const {
+    const int w = W > 0 ? W : width();
     std::uint64_t p = 1;
-    for (int j = 0; j <= k_; ++j) {
+    for (int j = 0; j < w; ++j) {
       row[j] = static_cast<std::uint32_t>(p);
       p = reduce(p * a);
     }
   }
 
   /// p(a) for the polynomial with digit row `digits`, at the point whose
-  /// power row is `powers`.
-  std::uint32_t eval(const std::uint32_t* digits, const std::uint32_t* powers) const {
+  /// power row is `powers`.  Requires W == 0 or W == width().
+  template <int W = 0, typename Digit>
+  std::uint32_t eval(const Digit* digits, const std::uint32_t* powers) const {
+    const int w = W > 0 ? W : width();
     std::uint64_t sum = 0;
-    for (int j = 0; j <= k_; ++j) sum += static_cast<std::uint64_t>(digits[j]) * powers[j];
+    for (int j = 0; j < w; ++j) sum += static_cast<std::uint64_t>(digits[j]) * powers[j];
     return reduce(sum);
   }
 

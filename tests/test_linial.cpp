@@ -101,6 +101,85 @@ TEST(LinialStep, RejectsImproperInput) {
   EXPECT_THROW(linial_step(view, same, LinialParams{11, 1}), InvariantViolation);
 }
 
+// Runs fn and expects the proper-input InvariantViolation, message included.
+template <typename Fn>
+void expect_improper_input_error(Fn&& fn, const std::string& where) {
+  try {
+    fn();
+    ADD_FAILURE() << where << ": no exception";
+  } catch (const InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("requires a proper input coloring"), std::string::npos)
+        << where << ": " << e.what();
+  }
+}
+
+/// The color of the degree-1 polynomial with constant d0 and slope d1.
+std::uint64_t line_color(std::uint64_t d0, std::uint64_t d1, std::uint64_t q) {
+  return d0 + d1 * q;
+}
+
+/// A star over items 0..leaves (center 0, a row in increasing item order)
+/// at degree-1 parameters over GF(q): leaf i <= `meeting` meets the center's
+/// line only at the i-th point of the center's scan, every other leaf but the
+/// last is parallel to it, and the last leaf takes the center's color.  The
+/// center therefore collides with an earlier leaf at the first `meeting`
+/// points; with meeting == q it collides at every point before its walk
+/// reaches the last leaf, and only the walk after the scan can name the cause.
+/// Checked serially and on 3 shards.
+void expect_star_rejected(std::uint32_t q, int leaves, int meeting) {
+  ASSERT_LE(meeting, static_cast<int>(q));
+  ASSERT_LT(meeting, leaves);
+  const std::uint64_t d0 = 3;
+  const std::uint64_t d1 = 5;  // the center's line: 3 + 5x
+  std::vector<std::uint64_t> colors{line_color(d0, d1, q)};
+  std::vector<std::pair<int, int>> conflicts;
+  std::vector<int> active{0};
+  for (int i = 1; i <= leaves; ++i) {
+    const std::uint64_t point = (d0 + static_cast<std::uint64_t>(i) - 1) % q;  // i-th scanned
+    if (i == leaves) {
+      colors.push_back(colors[0]);
+    } else if (i <= meeting) {
+      // (d0 - point) + (d1 + 1)x: minus the center's line, x - point.
+      colors.push_back(line_color((d0 + q - point) % q, d1 + 1, q));
+    } else {
+      // Same slope, another constant: parallel to the center's line.
+      colors.push_back(line_color((d0 + 1 + static_cast<std::uint64_t>(i) % (q - 1)) % q, d1, q));
+    }
+    active.push_back(i);
+    conflicts.emplace_back(0, i);
+  }
+  const Graph path = make_path(leaves + 2);  // leaves + 1 edges
+  const ExplicitConflict view(leaves + 1, active, conflicts);
+  ThreadPool pool(3);
+  const ExecBackend sharded(path, 3, pool);
+  const std::string where = "q=" + std::to_string(q) + " leaves=" + std::to_string(leaves);
+  for (const ExecBackend* exec : {static_cast<const ExecBackend*>(nullptr), &sharded}) {
+    expect_improper_input_error([&] { linial_step(view, colors, LinialParams{q, 1}, exec); },
+                                where + (exec == nullptr ? " serial" : " 3 shards"));
+  }
+}
+
+// The input check rides the collision path: an equal-colored neighbor last
+// in a long row, behind neighbors that collide at the first points scanned,
+// is still named, on the 16-bit (q = 11, 61) and 32-bit (q = 65537) rows.
+TEST(LinialStep, RejectsEqualColorBehindEarlierCollisions) {
+  expect_star_rejected(11, 12, 6);
+  expect_star_rejected(61, 40, 20);
+  expect_star_rejected(65537, 40, 20);
+}
+
+// Eleven leaves whose lines meet the center's at the eleven different points
+// of GF(11), then a leaf with the center's color: the center's scan collides
+// with an earlier leaf at every point, so only the walk after the scan can
+// report the cause, with the same message as a walk before it would.
+TEST(LinialStep, RejectsEqualColorHiddenAtEveryPoint) {
+  expect_star_rejected(11, 12, 11);
+  // The 32-bit rows run the same kernel template; covering all 65537 points
+  // with degree-1 leaves would cost ~q^2/2 evaluations, so the hidden case
+  // stays on the 16-bit rows at the smallest q that still has one.
+  expect_star_rejected(13, 14, 13);
+}
+
 struct ReduceCase {
   // 64-bit, so the struct has no padding: the test names print its bytes.
   std::int64_t n;
@@ -234,6 +313,17 @@ DiffCase line_graph_case(std::string name, Graph g) {
   return c;
 }
 
+/// Distinct random colors below `bound`, one per item of the universe.
+std::vector<std::uint64_t> distinct_colors(int universe, std::uint64_t bound,
+                                           std::uint64_t seed) {
+  Rng rng(seed);
+  std::set<std::uint64_t> used;
+  while (static_cast<int>(used.size()) < universe) used.insert(rng.next_below(bound));
+  std::vector<std::uint64_t> colors(used.begin(), used.end());
+  rng.shuffle(colors);
+  return colors;
+}
+
 /// An explicit conflict graph over `universe` items with distinct random
 /// colors below 2^40; items outside `active` keep a color too (they must
 /// come back untouched).
@@ -244,11 +334,7 @@ DiffCase explicit_case(std::string name, int universe, const std::vector<int>& a
   c.name = std::move(name);
   c.graph = std::make_unique<const Graph>(make_path(universe + 1));  // `universe` edges
   c.view = std::make_unique<ConflictView>(ExplicitConflict(universe, active, conflicts));
-  Rng rng(seed);
-  std::set<std::uint64_t> used;
-  while (static_cast<int>(used.size()) < universe) used.insert(rng.next_below(1ull << 40));
-  c.colors.assign(used.begin(), used.end());
-  rng.shuffle(c.colors);
+  c.colors = distinct_colors(universe, 1ull << 40, seed);
   c.palette = 1ull << 40;
   c.degree_bound = degree_bound;
   return c;
@@ -264,16 +350,24 @@ std::vector<LinialParams> schedule(std::uint64_t palette, int degree_bound) {
   return out;
 }
 
+/// The serial backend (null) and the sharded one at 1, 2 and 7 shards.
+struct DiffBackends {
+  explicit DiffBackends(const Graph& g) : pool(3) {
+    for (const int shards : {1, 2, 7}) {
+      sharded.push_back(std::make_unique<ExecBackend>(g, shards, pool));
+      all.push_back(sharded.back().get());
+    }
+  }
+  ThreadPool pool;
+  std::vector<std::unique_ptr<ExecBackend>> sharded;
+  std::vector<const ExecBackend*> all{nullptr};
+};
+
 /// Every step of the case's schedule and the whole reduce, on the serial
 /// backend and the sharded one at 1, 2 and 7 shards, against the reference.
 void expect_matches_reference(const DiffCase& c) {
-  ThreadPool pool(3);
-  std::vector<std::unique_ptr<ExecBackend>> sharded;
-  for (const int shards : {1, 2, 7}) {
-    sharded.push_back(std::make_unique<ExecBackend>(*c.graph, shards, pool));
-  }
-  std::vector<const ExecBackend*> backends{nullptr};
-  for (const auto& b : sharded) backends.push_back(b.get());
+  const DiffBackends diff(*c.graph);
+  const std::vector<const ExecBackend*>& backends = diff.all;
 
   const std::vector<LinialParams> steps = schedule(c.palette, c.degree_bound);
   ASSERT_FALSE(steps.empty()) << c.name;
@@ -343,6 +437,82 @@ TEST(LinialDifferential, CompleteGraphs) {
     expect_matches_reference(
         explicit_case("K_" + std::to_string(n), n, active, conflicts, n - 1, 9 + n));
   }
+}
+
+/// The step kernel's instantiations for degree bound d: 16-bit rows of
+/// widths 2..8 and 10 at the smallest prime >= max(64, d*k + 1), 32-bit rows
+/// of the same widths at q = 65537, both sides of the digit-type switch
+/// (65521 < 2^16 < 65537), and the largest field, q = 2^31 - 1.
+std::vector<LinialParams> kernel_grid(int d) {
+  std::vector<LinialParams> grid{{65521, 1}, {65521, 2}, {65537, 1}, {65537, 2}, {2147483647u, 1}};
+  for (const int k : {1, 2, 3, 4, 5, 6, 7, 9}) {
+    const std::uint64_t dk = static_cast<std::uint64_t>(d) * static_cast<std::uint64_t>(k) + 1;
+    grid.push_back({static_cast<std::uint32_t>(next_prime(std::max<std::uint64_t>(64, dk))), k});
+    grid.push_back({65537, k});
+  }
+  return grid;
+}
+
+/// One step at each explicit grid point, on every backend, against the
+/// reference; the colors are redrawn distinct below min(q^(k+1), 2^63), so
+/// every digit of a row is exercised.  Inactive items must keep theirs.
+void expect_kernels_match_reference(const DiffCase& c) {
+  const DiffBackends diff(*c.graph);
+  for (const LinialParams& p : kernel_grid(c.degree_bound)) {
+    ASSERT_TRUE(FlatPolyEval::fits(p.q, p.k)) << "q=" << p.q << " k=" << p.k;
+    ASSERT_GE(static_cast<std::uint64_t>(p.q),
+              static_cast<std::uint64_t>(c.degree_bound) * static_cast<std::uint64_t>(p.k) + 1);
+    const std::uint64_t bound =
+        std::min<std::uint64_t>(saturating_pow(p.q, static_cast<unsigned>(p.k + 1)), 1ull << 63);
+    const std::vector<std::uint64_t> colors =
+        distinct_colors(c.view->num_items(), bound, p.q + static_cast<std::uint64_t>(p.k));
+    const std::vector<std::uint64_t> ref = reference_step(*c.view, colors, p);
+    for (std::size_t b = 0; b < diff.all.size(); ++b) {
+      EXPECT_EQ(linial_step(*c.view, colors, p, diff.all[b]), ref)
+          << c.name << " backend " << b << " q=" << p.q << " k=" << p.k;
+    }
+  }
+}
+
+TEST(LinialDifferential, EveryKernelInstantiationAtExplicitParams) {
+  // A random explicit graph of degree <= 6 with every 9th item inactive.
+  const int universe = 90;
+  std::vector<int> active;
+  for (int i = 0; i < universe; ++i) {
+    if (i % 9 != 4) active.push_back(i);
+  }
+  Rng rng(23);
+  std::vector<int> degree(universe, 0);
+  std::vector<std::pair<int, int>> conflicts;
+  for (int t = 0; t < 400; ++t) {
+    const int a = active[rng.next_below(active.size())];
+    const int b = active[rng.next_below(active.size())];
+    if (a == b || degree[a] == 6 || degree[b] == 6) continue;
+    if (std::find(conflicts.begin(), conflicts.end(), std::pair{std::min(a, b), std::max(a, b)}) !=
+        conflicts.end()) {
+      continue;
+    }
+    conflicts.emplace_back(std::min(a, b), std::max(a, b));
+    ++degree[a];
+    ++degree[b];
+  }
+  DiffCase sparse = explicit_case("explicit degree<=6", universe, active, conflicts, 6, 29);
+  sparse.degree_bound = sparse.view->max_degree();
+  expect_kernels_match_reference(sparse);
+
+  // The line graph of a random graph over half of its edges.
+  DiffCase sub;
+  sub.name = "line graph over an edge subset";
+  sub.graph = std::make_unique<const Graph>(make_gnp(24, 0.25, 31));
+  EdgeSubset half(sub.graph->num_edges());
+  for (EdgeId e = 0; e < sub.graph->num_edges(); ++e) {
+    if (rng.next_below(2) == 0) half.insert(e);
+  }
+  sub.view = std::make_unique<ConflictView>(LineGraphConflict(*sub.graph, half));
+  ASSERT_GT(sub.view->num_active(), 0);
+  ASSERT_LT(sub.view->num_active(), sub.graph->num_edges());
+  sub.degree_bound = sub.view->max_degree();
+  expect_kernels_match_reference(sub);
 }
 
 }  // namespace
