@@ -43,7 +43,13 @@ LineGraphConflict::LineGraphConflict(const Graph& g, const EdgeSubset& subset,
   nbrs_.resize(offsets_.back());
   ex.for_indices(n, [&](int, int s) {
     std::size_t w = offsets_[static_cast<std::size_t>(s)];
-    g.for_each_edge_neighbor(item_[static_cast<std::size_t>(s)], [&](EdgeId f) {
+    const EdgeId e = item_[static_cast<std::size_t>(s)];
+    if (full) {
+      // Every edge is its own slot.
+      g.for_each_edge_neighbor(e, [&](EdgeId f) { nbrs_[w++] = f; });
+      return;
+    }
+    g.for_each_edge_neighbor(e, [&](EdgeId f) {
       const int t = slot_[static_cast<std::size_t>(f)];
       if (t >= 0) nbrs_[w++] = t;
     });

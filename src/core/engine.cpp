@@ -132,7 +132,7 @@ int SolverEngine::max_induced_degree(const EdgeSubset& s) {
 }
 
 int SolverEngine::round_head(const EdgeSubset& H, const char* invariant,
-                             std::vector<int>* degrees) {
+                             std::vector<int>* degrees, std::optional<int> measured) {
   const bool validate = validation_due();
   // One superstep: the list refresh, the degree measurement and (when due)
   // the feasibility walk all read committed neighbor state and write only
@@ -144,10 +144,25 @@ int SolverEngine::round_head(const EdgeSubset& H, const char* invariant,
   ++stats_.profile.supersteps;
   const PassTimer profile_timer(stats_.profile.pass_ms, "superstep");
   const PassTimer timer(stats_.refresh_ms);
-  DeterministicReducer<int> deg(exec_->lanes(), 0);
   cache_.flush();
+  if (measured) {
+    // Nothing finalized since `degrees` was measured over this H: the lists
+    // are current, and only the gated assert reads the stored degrees.
+    if (validate) {
+      exec_->for_members(H, [&](int, EdgeId e) {
+        QPLEC_ASSERT_MSG(work_.size(e) >= (*degrees)[static_cast<std::size_t>(e)] + 1,
+                         invariant << " violated at edge " << e);
+      });
+    }
+    return *measured;
+  }
+  // Before the first finalize nothing is left to consume, and over the full
+  // edge set every row entry is in H: each degree is the row's length.
+  const bool fresh = H.size() == g_.num_edges() && cache_.deltas_noted() == 0;
+  DeterministicReducer<int> deg(exec_->lanes(), 0);
   exec_->for_members(H, [&](int lane, EdgeId e) {
-    const int di = cache_.consume_and_count(lane, e, work_, H);
+    const int di =
+        fresh ? cache_.live_degree_bound(e) : cache_.consume_and_count(lane, e, work_, H);
     deg.lane(lane) = std::max(deg.lane(lane), di);
     if (degrees != nullptr) (*degrees)[static_cast<std::size_t>(e)] = di;
     if (validate) {
@@ -176,11 +191,24 @@ int SolverEngine::relaxed_head(const EdgeSubset& A, double slack, Color lo, Colo
   return deg.max();
 }
 
-void SolverEngine::solve_basecase(const EdgeSubset& H) {
+template <typename ForEdges>
+void SolverEngine::trivial_pick(ForEdges&& for_edges) {
+  // Independent edges: everyone picks its smallest remaining color (the
+  // first set bit of its window).
+  ++stats_.trivial_picks;
+  ledger_.charge(1, "trivial-pick");
+  for_edges([&](int lane, EdgeId e) {
+    final_[static_cast<std::size_t>(e)] = work_.min(e);
+    cache_.note_finalized(lane, e);
+  });
+}
+
+void SolverEngine::solve_basecase(const EdgeSubset& H, std::vector<int>* degrees,
+                                  std::optional<int> measured) {
   const trace::Span span("basecase", "engine");
   checkpoint();
   ++stats_.basecase_calls;
-  const int d = round_head(H, "base case feasibility");
+  const int d = round_head(H, "base case feasibility", degrees, measured);
   const LineGraphConflict view(g_, H, exec_);
   solve_conflict_list(view, work_, phi_, phi_palette_, d, final_, ledger_, exec_, control_, &gate_,
                       config_.greedy_batch_quantum);
@@ -206,7 +234,7 @@ void SolverEngine::solve_no_slack(EdgeSubset H, int depth) {
     const int d = round_head(H, "(deg+1)-list invariant", &deg0);
 
     if (d <= policy_.base_degree_threshold) {
-      solve_basecase(H);
+      solve_basecase(H, &deg0, d);  // nothing finalized since the head
       return;
     }
 
@@ -238,6 +266,7 @@ void SolverEngine::solve_no_slack(EdgeSubset H, int depth) {
     });
 
     stats_.classes_total += dc.num_classes;
+    EdgeSubset in_class(g_.num_edges());  // the current class's bucket
     std::int64_t empty_slots = 0;
     for (int cls = 0; cls < dc.num_classes; ++cls) {
       const auto& bucket = buckets[static_cast<std::size_t>(cls)];
@@ -254,9 +283,12 @@ void SolverEngine::solve_no_slack(EdgeSubset H, int depth) {
       // The pruning is e-local; the activity verdicts land in per-edge flags
       // and the subset is built serially from them (identical membership for
       // any lane layout).  The cache consumes only the deltas the previous
-      // classes of this loop finalized.
+      // classes of this loop finalized; the same walk counts each edge's
+      // live neighbors in the class, folded to a max over the active edges.
       ledger_.charge(1, "mark-active");
       std::vector<std::uint8_t> is_active(bucket.size(), 0);
+      for (const EdgeId e : bucket) in_class.insert(e);
+      DeterministicReducer<int> class_degree(exec_->lanes(), 0);
       {
         const PassTimer timer(stats_.refresh_ms, "mark-active");
         cache_.flush();
@@ -276,11 +308,22 @@ void SolverEngine::solve_no_slack(EdgeSubset H, int depth) {
             work_.prefetch(bucket[at + kAhead], 1);
           }
           const EdgeId e = bucket[at];
-          cache_.consume(lane, e, work_);
+          const int in_class_degree = cache_.consume_and_count(lane, e, work_, in_class);
           if (2 * work_.size(e) > deg0[static_cast<std::size_t>(e)]) {
             is_active[static_cast<std::size_t>(t)] = 1;
+            class_degree.lane(lane) = std::max(class_degree.lane(lane), in_class_degree);
           }
         });
+      }
+      for (const EdgeId e : bucket) in_class.erase(e);
+      if (class_degree.max() == 0) {
+        // The active edges are independent: the slack-beta instance they
+        // form has degree 0, which the recursion would color with one
+        // trivial pick after re-walking their rows to find that out.
+        if (std::find(is_active.begin(), is_active.end(), 1) != is_active.end()) {
+          pick_independent_class(bucket, is_active, depth + 1);
+        }
+        continue;
       }
       EdgeSubset active(g_.num_edges());
       for (std::size_t t = 0; t < bucket.size(); ++t) {
@@ -321,6 +364,32 @@ void SolverEngine::solve_no_slack(EdgeSubset H, int depth) {
   }
 }
 
+void SolverEngine::pick_independent_class(const std::vector<EdgeId>& bucket,
+                                          const std::vector<std::uint8_t>& is_active,
+                                          int depth) {
+  // The recursion's schedule, in its order: the validate-slack draw,
+  // solve_relaxed's entry (depth, checkpoint) and its head's draw and
+  // superstep.  With deg' = 0 both the Lemma 4.2 slack |L_e| > beta * deg'
+  // and the relaxed entry invariant reduce to a nonempty list in range.
+  const bool slack_due = validation_due();
+  note_depth(depth);
+  checkpoint();
+  const bool entry_due = validation_due();
+  const bool validate = slack_due || entry_due;
+  ++stats_.profile.supersteps;
+  trivial_pick([&](const auto& pick) {
+    exec_->for_indices(static_cast<int>(bucket.size()), [&](int lane, int t) {
+      if (!is_active[static_cast<std::size_t>(t)]) return;
+      const EdgeId e = bucket[static_cast<std::size_t>(t)];
+      if (validate) {
+        QPLEC_ASSERT_MSG(!work_.empty(e) && work_.max(e) < palette_,
+                         "independent class entry violated at edge " << e);
+      }
+      pick(lane, e);
+    });
+  });
+}
+
 void SolverEngine::solve_relaxed(EdgeSubset A, double slack, Color lo, Color hi, int depth) {
   note_depth(depth);
   if (A.empty()) return;
@@ -330,14 +399,7 @@ void SolverEngine::solve_relaxed(EdgeSubset A, double slack, Color lo, Color hi,
   const int d = relaxed_head(A, slack, lo, hi);
 
   if (d == 0) {
-    // Independent edges: everyone picks its smallest remaining color (the
-    // first set bit of its window).
-    ++stats_.trivial_picks;
-    ledger_.charge(1, "trivial-pick");
-    exec_->for_members(A, [&](int lane, EdgeId e) {
-      final_[static_cast<std::size_t>(e)] = work_.min(e);
-      cache_.note_finalized(lane, e);
-    });
+    trivial_pick([&](const auto& pick) { exec_->for_members(A, pick); });
     return;
   }
   if (d <= policy_.base_degree_threshold) {

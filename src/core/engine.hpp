@@ -7,7 +7,9 @@
 //
 //   solve_no_slack  (Lemma 4.2)   T(dbar, 1, C):
 //     defective split -> per class: mark active edges -> solve_relaxed with
-//     slack beta -> recurse on the uncolored half-degree subgraph.
+//     slack beta (a class whose active edges the marking walk found
+//     independent takes its trivial pick directly) -> recurse on the
+//     uncolored half-degree subgraph.
 //   solve_relaxed   (Lemma 4.5)   T(dbar, S, C):
 //     color-space reduction (Lemma 4.3) into q parallel instances with
 //     palette C/p, or base case / no-slack fallback when S cannot pay for a
@@ -177,7 +179,24 @@ class SolverEngine {
   void solve_relaxed(EdgeSubset A, double slack, Color lo, Color hi, int depth);
 
   // Base case: O(d^2 + log* X) conflict solve on H's induced line graph.
-  void solve_basecase(const EdgeSubset& H);
+  // `degrees`/`measured` (optional): what a round head over the same H
+  // measured with nothing finalized since, handed to the base case's own
+  // head (see round_head).
+  void solve_basecase(const EdgeSubset& H, std::vector<int>* degrees = nullptr,
+                      std::optional<int> measured = std::nullopt);
+
+  // Colors a set of independent edges: each takes its smallest remaining
+  // color.  Counts the pick and charges its round; `for_edges(pick)` runs
+  // pick(lane, e) for every edge of the set inside one backend pass.
+  template <typename ForEdges>
+  void trivial_pick(ForEdges&& for_edges);
+
+  // A Lemma 4.2 class whose active edges (`is_active` over `bucket`) the
+  // mark-active walk found independent: one trivial pick, with the gate
+  // draws, checkpoint, depth and superstep of the solve_relaxed call it
+  // stands for, in the same order.
+  void pick_independent_class(const std::vector<EdgeId>& bucket,
+                              const std::vector<std::uint8_t>& is_active, int depth);
 
   // The round head shared by solve_no_slack and solve_basecase, one
   // superstep: every edge of H deletes the colors of its newly finalized
@@ -186,8 +205,13 @@ class SolverEngine {
   // is walked — all in ONE backend pass.  Charges the one refresh round;
   // returns the measured degree.  `invariant` labels the feasibility
   // assert's message.  `degrees` (optional, sized to the edge count)
-  // receives each edge's induced degree in H.
-  int round_head(const EdgeSubset& H, const char* invariant, std::vector<int>* degrees = nullptr);
+  // receives each edge's induced degree in H.  Two heads skip the row walk
+  // and keep everything else (charge, superstep, gate draw, assert): before
+  // the first finalize over the full edge set each degree is the edge's row
+  // length, and with `measured` set a head over the same H already left
+  // the lists current and `degrees` filled, so `measured` is the degree.
+  int round_head(const EdgeSubset& H, const char* invariant, std::vector<int>* degrees = nullptr,
+                 std::optional<int> measured = std::nullopt);
 
   // The solve_relaxed entry head: measure max induced degree over A and
   // (when the gate fires) walk the P(dbar, S, C) entry invariant in one

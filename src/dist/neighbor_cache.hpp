@@ -102,7 +102,12 @@ class NeighborColorCache {
   }
 
   /// consume(), then induced_degree(lane, e, s), in one walk of e's row:
-  /// the round head's refresh and degree measurement.
+  /// the round head's refresh and degree measurement.  The Lemma 4.2 class
+  /// loop's mark-active pass uses it too, with `s` the class's bucket: the
+  /// count is e's live neighbors in its class, and when it is 0 over every
+  /// active edge the class is independent and takes the trivial pick
+  /// without a second walk of its rows.  A clean row (no wave since its
+  /// last sweep) still iterates to count, where consume() skips it.
   int consume_and_count(int lane, EdgeId e, ListStore& lists, const EdgeSubset& s) {
     return sweep(lane, e, lists, [&](EdgeId f) { return s.contains(f) ? 1 : 0; });
   }

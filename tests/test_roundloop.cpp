@@ -14,6 +14,9 @@
 //     whole ledger report) across validation tier {off, sampled,
 //     every_round} x shards {1, 2, 7} — the complete knob cube of
 //     ExecConfig's round-loop surface.
+//   * The Lemma 4.2 class loop reaches the same solve whether a class takes
+//     the trivial pick off its mark-active walk or the slack-beta recursion:
+//     outputs and schedule counters pinned across the same knob cube.
 //   * RoundProfile's deterministic counters report the schedule faithfully:
 //     the gate draw count is tier-invariant, and each tier runs/skips
 //     exactly as specified.
@@ -30,6 +33,7 @@
 #include "src/graph/generators.hpp"
 #include "src/local/engine.hpp"
 #include "src/local/ledger.hpp"
+#include "src/runtime/batch_solver.hpp"
 #include "src/runtime/scenarios.hpp"
 
 namespace qplec {
@@ -218,6 +222,118 @@ TEST(RoundLoopSolver, KnobCubeBitIdenticalOnSmallInstances) {
         EXPECT_EQ(res.colors, reference.colors) << tag;
         EXPECT_EQ(res.rounds, reference.rounds) << tag;
         EXPECT_EQ(res.raw_rounds, reference.raw_rounds) << tag;
+        EXPECT_EQ(res.round_report, reference.round_report) << tag;
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------- the class pass ---
+
+// One pinned fingerprint of a solve: the outputs plus the deterministic
+// schedule counters the class loop must reproduce (its ledger charges, gate
+// draws, checkpoints and supersteps), whichever way it reaches a class's
+// coloring.
+struct ClassPassPin {
+  std::uint64_t colors_hash;
+  std::int64_t rounds, raw_rounds;
+  std::int64_t trivial_picks, classes_nonempty, supersteps, checkpoints, draws;
+  std::int64_t basecase_calls, noslack_fallbacks;
+};
+
+ClassPassPin class_pass_pin(const SolveResult& res) {
+  const SolverStats& st = res.stats;
+  return {hash_coloring(res.colors),
+          res.rounds,
+          res.raw_rounds,
+          st.trivial_picks,
+          st.classes_nonempty,
+          st.profile.supersteps,
+          st.profile.checkpoints,
+          st.profile.validation_walks_run + st.profile.validation_walks_skipped,
+          st.basecase_calls,
+          st.noslack_fallbacks};
+}
+
+void expect_pin(const ClassPassPin& got, const ClassPassPin& want, const std::string& tag) {
+  EXPECT_EQ(got.colors_hash, want.colors_hash) << tag;
+  EXPECT_EQ(got.rounds, want.rounds) << tag;
+  EXPECT_EQ(got.raw_rounds, want.raw_rounds) << tag;
+  EXPECT_EQ(got.trivial_picks, want.trivial_picks) << tag;
+  EXPECT_EQ(got.classes_nonempty, want.classes_nonempty) << tag;
+  EXPECT_EQ(got.supersteps, want.supersteps) << tag;
+  EXPECT_EQ(got.checkpoints, want.checkpoints) << tag;
+  EXPECT_EQ(got.draws, want.draws) << tag;
+  EXPECT_EQ(got.basecase_calls, want.basecase_calls) << tag;
+  EXPECT_EQ(got.noslack_fallbacks, want.noslack_fallbacks) << tag;
+}
+
+// The Lemma 4.2 class loop colors a class whose active edges are
+// independent with one trivial pick read off its mark-active walk, and any
+// other class through the slack-beta recursion.  Both ways must leave the
+// same solve: colors, rounds, the ledger report and every schedule counter,
+// across validation tier x shard count, pinned to recorded values.  beta = 1
+// gives classes with edges (the recursion path); beta = 50 and the hub-heavy
+// practical solve give independent classes only; beta = 2 mixes them.
+TEST(RoundLoopSolver, ClassPassPinnedAcrossTiersAndShards) {
+  struct Case {
+    std::string name;
+    Graph graph;
+    Policy policy;
+    bool recursion;  ///< some class is colored through the slack-beta recursion
+    ClassPassPin pin;
+  };
+  // bench_paper's EXP-L42 graph: regular n=256 d=16, ids scrambled into n^2,
+  // base-case threshold 8 so the defective split runs.
+  const Graph regular256 = make_random_regular(256, 16, 3).with_scrambled_ids(256 * 256, 5);
+  const auto l42 = [](int beta) {
+    Policy policy = Policy::practical();
+    policy.base_degree_threshold = 8;
+    policy.beta_fixed = beta;
+    return policy;
+  };
+  const Case cases[] = {
+      {"L42 beta=1", regular256, l42(1), true,
+       {2126498189993988766u, 1948, 1948, 1, 17, 36, 53, 57, 17, 0}},
+      {"L42 beta=2", regular256, l42(2), true,
+       {7724403593913653739u, 1330, 1330, 41, 82, 125, 207, 212, 41, 0}},
+      {"L42 beta=50", regular256, l42(50), false,
+       {9736502563356845649u, 120864, 120864, 204, 206, 206, 412, 415, 0, 0}},
+      {"power-law practical", make_power_law(600, 2.2, 60.0, 11), Policy::practical(), false,
+       {8713759441719137618u, 60404, 60404, 74, 74, 75, 149, 152, 0, 0}},
+  };
+  for (const Case& c : cases) {
+    const ListEdgeColoringInstance instance = make_two_delta_instance(c.graph);
+    SolveControl control;  // polled only: counts the checkpoints
+    ExecConfig reference_config;
+    reference_config.validation_tier = ValidationTier::kEveryRound;
+    const SolveResult reference =
+        Solver(c.policy, reference_config).solve(instance, &control);
+    const ClassPassPin ref = class_pass_pin(reference);
+    expect_pin(ref, c.pin, c.name + " reference");
+    EXPECT_GE(reference.stats.defective_calls, 1) << c.name;
+    // Each no-slack chain (the top one and every no-slack fallback) ends on
+    // at most one base case, and no child engine runs without a space
+    // reduction: any further base case colored a class whose active edges
+    // were not independent.
+    EXPECT_EQ(reference.stats.space_reductions, 0) << c.name;
+    EXPECT_EQ(reference.stats.basecase_calls > 1 + reference.stats.noslack_fallbacks,
+              c.recursion)
+        << c.name;
+
+    for (const ValidationTier tier :
+         {ValidationTier::kOff, ValidationTier::kSampled, ValidationTier::kEveryRound}) {
+      for (const int shards : {1, 2, 7}) {
+        ExecConfig config;
+        config.validation_tier = tier;
+        config.shards = shards;
+        config.min_sharded_edges = 0;  // force sharding
+        SolveControl cell_control;
+        const SolveResult res = Solver(c.policy, config).solve(instance, &cell_control);
+        const std::string tag = c.name + " tier=" + validation_tier_name(tier) +
+                                " shards=" + std::to_string(shards);
+        expect_pin(class_pass_pin(res), ref, tag);
+        EXPECT_EQ(res.colors, reference.colors) << tag;
         EXPECT_EQ(res.round_report, reference.round_report) << tag;
       }
     }

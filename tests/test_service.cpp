@@ -211,16 +211,25 @@ TEST(SolveServiceDeadline, MidSolveDeadlineStopsAtRoundBoundary) {
   SolveService service(ExecConfig{.workers = 1});
   const Scenario scenario{GraphFamily::kRegular, 120, ListFlavor::kTwoDelta,
                           PolicyKind::kPractical, 42, 8};
+  // The budget is generous, so a loaded host cannot spend it before the
+  // solve starts; the hook then overshoots it by sleeping until well past
+  // the deadline, measured from before the submit on the service's clock.
+  constexpr auto kBudget = std::chrono::milliseconds(1000);
+  constexpr auto kOvershoot = std::chrono::milliseconds(250);
   std::atomic<bool> slept{false};
-  const SolveOutcome out = service.solve(
-      SolveRequest::from_scenario(scenario).deadline_ms(40.0).on_round(
-          [&](const RoundProgress& p) {
-            // Overshoot the budget once, mid-solve: the next checkpoint must
-            // observe the expired deadline.
-            if (p.rounds >= 3 && !slept.exchange(true)) {
-              std::this_thread::sleep_for(std::chrono::milliseconds(80));
-            }
-          }));
+  std::chrono::steady_clock::time_point submitted;
+  SolveRequest request = SolveRequest::from_scenario(scenario)
+                             .deadline_ms(static_cast<double>(kBudget.count()))
+                             .on_round([&](const RoundProgress& p) {
+                               // Overshoot the budget once, mid-solve: the
+                               // next checkpoint must observe the expired
+                               // deadline.
+                               if (p.rounds >= 3 && !slept.exchange(true)) {
+                                 std::this_thread::sleep_until(submitted + kBudget + kOvershoot);
+                               }
+                             });
+  submitted = std::chrono::steady_clock::now();
+  const SolveOutcome out = service.solve(std::move(request));
   EXPECT_EQ(out.status, SolveStatus::kDeadlineExceeded);
   EXPECT_GT(out.num_edges, 0);  // it was in flight when the budget ran out
 }
