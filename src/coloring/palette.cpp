@@ -20,10 +20,6 @@ ColorList ColorList::range(Color lo, Color hi) {
   return ColorList(std::move(v));
 }
 
-bool ColorList::contains(Color c) const {
-  return std::binary_search(colors_.begin(), colors_.end(), c);
-}
-
 bool ColorList::remove(Color c) {
   auto it = std::lower_bound(colors_.begin(), colors_.end(), c);
   if (it != colors_.end() && *it == c) {

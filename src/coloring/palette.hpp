@@ -33,7 +33,19 @@ class ColorList {
   int size() const { return static_cast<int>(colors_.size()); }
   bool empty() const { return colors_.empty(); }
 
-  bool contains(Color c) const;
+  /// Branch-free binary search: a membership test lands at a data-dependent
+  /// position no branch predictor learns (the list-coloring check tests one
+  /// color per list, list after list).
+  bool contains(Color c) const {
+    if (colors_.empty()) return false;
+    const Color* base = colors_.data();
+    for (std::size_t n = colors_.size(); n > 1;) {
+      const std::size_t half = n / 2;
+      base = base[half] <= c ? base + half : base;
+      n -= half;
+    }
+    return *base == c;
+  }
 
   /// Removes c if present; returns whether it was present.
   bool remove(Color c);

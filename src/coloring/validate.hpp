@@ -3,6 +3,13 @@
 // The validators are used both by the test suite and by the solvers
 // themselves (the solver validates its own output before returning; a theory
 // reproduction must never return an invalid coloring silently).
+//
+// The three edge-coloring checks share one node-local kernel: a coloring is
+// proper exactly when every node sees distinct colors on its incident
+// edges, so one walk over Graph::incident that stamps each color's slot with
+// the node decides it in O(n + m) — a slot already holding the node is a
+// conflict there.  Colors above a bound linear in m (hostile palettes) or
+// below zero sort each node's colors instead, so memory stays O(m).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +38,9 @@ void expect_valid_solution(const ListEdgeColoringInstance& instance,
                            const EdgeColoring& colors);
 
 /// True iff the (possibly partial) coloring has no conflict among colored
-/// edges inside the subset.
+/// edges inside the subset.  Costs one walk over every node's incidences
+/// whatever the subset's size; on failure, *why names the first conflicted
+/// subset edge in id order.
 bool is_proper_partial(const Graph& g, const EdgeSubset& subset, const EdgeColoring& colors,
                        std::string* why = nullptr);
 

@@ -57,7 +57,10 @@ ValidationTier default_validation_tier();
 /// config the same walks run regardless of shard count or wall-clock — and
 /// since gated walks never mutate solver state, the solved colors are
 /// identical across tiers too.  The first due() of a gate always fires under
-/// kSampled, so every engine validates its opening round.
+/// kSampled, so every engine validates its opening round.  Gates are made
+/// fresh per SolverEngine and per repair_recolor call, so sampling thins
+/// only the later draws of one gate: every engine runs its validate-entry
+/// walk and every churn repair its survivor walk, under every tier but kOff.
 class ValidationGate {
  public:
   /// Under kSampled, one in this many due() draws runs the walk.

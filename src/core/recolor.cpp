@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 #include <vector>
@@ -111,9 +112,19 @@ RecolorPlan plan_recolor(const ListEdgeColoringInstance& base, const EdgeColorin
   plan.mutated.lists.resize(static_cast<std::size_t>(m2));
   plan.mutated.palette_size = palette;
   plan.carried.assign(static_cast<std::size_t>(m2), kUncolored);
+  // Both graphs number their edges in (u, v) order (GraphBuilder::build), so
+  // one cursor over the base's edges finds each survivor's old id.
+  const std::span<const EdgeEndpoints> base_edges = g.all_endpoints();
+  const auto before = [](const EdgeEndpoints& a, const EdgeEndpoints& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  };
+  std::size_t cursor = 0;
   for (EdgeId e2 = 0; e2 < m2; ++e2) {
     const EdgeEndpoints& ep = g2.endpoints(e2);
-    const EdgeId old = g.find_edge(ep.u, ep.v);
+    while (cursor < base_edges.size() && before(base_edges[cursor], ep)) ++cursor;
+    const EdgeId old = cursor < base_edges.size() && base_edges[cursor] == ep
+                           ? static_cast<EdgeId>(cursor)
+                           : kInvalidEdge;
     if (old != kInvalidEdge && !removed[static_cast<std::size_t>(old)]) {
       // Survivor: list carried by endpoint pair, padded when the endpoints'
       // degree growth left it under the deg(e)+1 greedy feasibility floor.
@@ -178,17 +189,15 @@ RecolorOutcome repair_recolor(const RecolorPlan& plan, const Policy& policy,
   EdgeSubset region(m2);
   for (const EdgeId e : plan.region) region.insert(e);
 
-  // Demoted invariant walk (tiered like every other one): the carried colors
-  // must be conflict-free among themselves — removals cannot introduce a
-  // conflict and inserts change no existing color, so a violation here is a
-  // derivation bug, not a data condition.
+  // Demoted invariant walk: the carried colors must be conflict-free among
+  // themselves — removals cannot introduce a conflict and inserts change no
+  // existing color, so a violation here is a derivation bug, not a data
+  // condition.  The gate is fresh and a fresh gate's first draw fires, so
+  // every repair runs this walk unless the tier is kOff.  It costs one walk
+  // over the incidences; the region's edges are uncolored and skipped.
   if (gate.due()) {
-    EdgeSubset survivors(m2);
-    for (EdgeId e = 0; e < m2; ++e) {
-      if (plan.carried[static_cast<std::size_t>(e)] != kUncolored) survivors.insert(e);
-    }
     std::string why;
-    QPLEC_REQUIRE_MSG(is_proper_partial(g2, survivors, plan.carried, &why),
+    QPLEC_REQUIRE_MSG(is_proper_partial(g2, EdgeSubset::all(g2), plan.carried, &why),
                       "carried churn colors conflict: " << why);
   }
 

@@ -130,7 +130,10 @@ struct SolveOutcome {
   int shards = 1;  ///< intra-instance shards the solve actually used
 
   std::uint64_t colors_hash = 0;  ///< FNV-1a coloring fingerprint (Ok only)
-  bool valid = false;  ///< independent re-validation of the output (Ok only)
+  /// Re-validation of the output (Ok only): the same is_valid_list_coloring
+  /// the solver (or the churn repair) ran as its final check, run again on
+  /// the answer the service hands out.
+  bool valid = false;
 
   double queue_ms = 0.0;  ///< submission -> start wait
   double build_ms = 0.0;  ///< instance construction (scenario/file sources)

@@ -15,6 +15,7 @@
 //      cache hit, and an update's outcome fingerprint seeds the next update.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <functional>
 #include <mutex>
@@ -23,6 +24,7 @@
 
 #include "src/coloring/validate.hpp"
 #include "src/core/recolor.hpp"
+#include "src/graph/builder.hpp"
 #include "src/graph/generators.hpp"
 #include "src/runtime/batch_solver.hpp"
 #include "src/service/churn.hpp"
@@ -177,6 +179,132 @@ TEST(Recolor, BudgetFallbackBitIdenticalToFromScratchSolve) {
   EXPECT_EQ(rec.result.colors, scratch.colors);
   EXPECT_EQ(rec.result.rounds, scratch.rounds);
   EXPECT_EQ(rec.result.round_report, scratch.round_report);
+}
+
+// The survivor walk runs on every repair: the repair's gate is fresh and a
+// fresh gate's first draw fires.  Two survivors at one node with the same
+// carried color are caught there under kSampled; under kOff the walk is
+// skipped and the always-on final check refuses the answer instead.
+TEST(Recolor, SurvivorWalkRunsOnEveryRepairUnderSampled) {
+  const Base base = make_base();
+  RecolorPlan plan = plan_recolor(base.instance, base.solved.colors,
+                                  make_random_churn(base.instance.graph, 1, 0, 321).ops);
+  ASSERT_EQ(plan.region.size(), 1u);
+  const Graph& g2 = plan.mutated.graph;
+  const auto carried = [&](EdgeId e) { return plan.carried[static_cast<std::size_t>(e)]; };
+  std::vector<EdgeId> survivors;  // carried edges at node 0
+  for (const Incidence& inc : g2.incident(0)) {
+    if (carried(inc.edge) != kUncolored) survivors.push_back(inc.edge);
+  }
+  ASSERT_GE(survivors.size(), 2u);
+  plan.carried[static_cast<std::size_t>(survivors[1])] = carried(survivors[0]);
+
+  const auto message = [&](ValidationTier tier, auto expected) {
+    ExecConfig config;
+    config.validation_tier = tier;
+    try {
+      repair_recolor(plan, Policy::practical(), config);
+    } catch (const decltype(expected)& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string sampled = message(ValidationTier::kSampled, std::invalid_argument(""));
+  EXPECT_NE(sampled.find("carried churn colors conflict"), std::string::npos) << sampled;
+  const std::string off = message(ValidationTier::kOff, InvariantViolation(""));
+  EXPECT_NE(off.find("invalid solution"), std::string::npos) << off;
+}
+
+// The plan maps survivors to their base ids with one merge over the two
+// graphs' (u, v)-ordered edge arrays.  Pinned here against the per-edge
+// find_edge derivation it replaced, on batches that touch both ends of the
+// id range, crowd one node and remove/insert adjacent pairs.
+TEST(Recolor, PlanMapsEdgesLikeFindEdge) {
+  // Nodes 0 and n-1 stay isolated, so {0, 1} sorts before every base edge
+  // and {n-2, n-1} after every one.
+  constexpr int kNodes = 66;
+  const Graph inner = make_random_regular(kNodes - 2, 6, 31);
+  GraphBuilder builder(kNodes);
+  for (const EdgeEndpoints& ep : inner.all_endpoints()) builder.add_edge(ep.u + 1, ep.v + 1);
+  const ListEdgeColoringInstance instance =
+      make_random_list_instance(builder.build(), 2 * 6 + 8, 5);
+  const Graph& g = instance.graph;
+  const EdgeColoring colors = Solver(Policy::practical()).solve(instance).colors;
+  const int m = g.num_edges();
+
+  const auto expect_matches = [&](const ChurnBatch& batch, const std::string& tag) {
+    const RecolorPlan plan = plan_recolor(instance, colors, batch.ops);
+    const Graph& g2 = plan.mutated.graph;
+    std::vector<char> removed(static_cast<std::size_t>(m), 0);
+    for (const EdgeDelta& op : batch.ops) {
+      if (!op.insert) removed[static_cast<std::size_t>(g.find_edge(op.u, op.v))] = 1;
+    }
+    const Color palette = plan.mutated.palette_size;
+    EdgeColoring carried(static_cast<std::size_t>(g2.num_edges()), kUncolored);
+    std::vector<EdgeId> region;
+    std::int64_t payload = 0;
+    for (EdgeId e2 = 0; e2 < g2.num_edges(); ++e2) {
+      const EdgeEndpoints& ep = g2.endpoints(e2);
+      const EdgeId old = g.find_edge(ep.u, ep.v);
+      const ColorList& list = plan.mutated.lists[static_cast<std::size_t>(e2)];
+      if (old == kInvalidEdge || removed[static_cast<std::size_t>(old)]) {
+        region.push_back(e2);
+        payload += g2.edge_degree(e2);
+        EXPECT_EQ(list, ColorList::range(0, palette)) << tag << " edge " << e2;
+        continue;
+      }
+      carried[static_cast<std::size_t>(e2)] = colors[static_cast<std::size_t>(old)];
+      // The base list, padded with the smallest absent palette colors up to
+      // deg(e) + 1.
+      std::vector<Color> expected = instance.lists[static_cast<std::size_t>(old)].colors();
+      for (Color c = 0; static_cast<int>(expected.size()) < g2.edge_degree(e2) + 1; ++c) {
+        if (std::find(expected.begin(), expected.end(), c) == expected.end()) {
+          expected.push_back(c);
+        }
+      }
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(list.colors(), expected) << tag << " edge " << e2;
+    }
+    EXPECT_EQ(plan.carried, carried) << tag;
+    EXPECT_EQ(plan.region, region) << tag;
+    EXPECT_EQ(plan.region_payload, payload) << tag;
+  };
+
+  const EdgeEndpoints first = g.endpoints(0);
+  const EdgeEndpoints last = g.endpoints(m - 1);
+  ChurnBatch ends_removed;
+  ends_removed.remove(first.u, first.v).remove(last.v, last.u);
+  expect_matches(ends_removed, "ends removed");
+  ChurnBatch outside_inserts;
+  outside_inserts.insert(1, 0).insert(kNodes - 1, kNodes - 2);
+  expect_matches(outside_inserts, "outside inserts");
+  ChurnBatch both_ends;
+  both_ends.insert(0, 1).remove(first.u, first.v);
+  both_ends.insert(kNodes - 2, kNodes - 1).remove(last.u, last.v);
+  expect_matches(both_ends, "both ends");
+
+  // Several inserts at one node (its survivors' lists get padded).
+  ChurnBatch crowd;
+  for (NodeId v = 1; v < kNodes && crowd.size() < 5; ++v) {
+    if (v != 7 && g.find_edge(7, v) == kInvalidEdge) crowd.insert(v, 7);
+  }
+  ASSERT_EQ(crowd.size(), 5u);
+  expect_matches(crowd, "crowded node");
+
+  // Remove an edge and insert the absent pairs just before and after it.
+  for (const EdgeId e : {1, m / 3, m / 2, m - 2}) {
+    const EdgeEndpoints ep = g.endpoints(e);
+    ChurnBatch adjacent;
+    adjacent.remove(ep.u, ep.v);
+    for (const NodeId v : {ep.v - 1, ep.v + 1}) {
+      if (v != ep.u && v >= 0 && v < kNodes && g.find_edge(ep.u, v) == kInvalidEdge) {
+        adjacent.insert(ep.u, v);
+      }
+    }
+    const EdgeEndpoints next = g.endpoints(e + 1);
+    adjacent.remove(next.v, next.u);
+    expect_matches(adjacent, "adjacent pairs at edge " + std::to_string(e));
+  }
 }
 
 TEST(Recolor, ValidateDeltasRejectsEveryInconsistency) {

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/exec_config.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/solver.hpp"
 #include "src/graph/generators.hpp"
@@ -379,6 +380,30 @@ TEST(RoundLoopProfile, CountersReportTheScheduleFaithfully) {
             draws);
   // And the sampled tier runs a strict subset of every_round's walks.
   EXPECT_LT(sampled.stats.profile.validation_walks_run, draws);
+}
+
+// ------------------------------------------------------ validation gate ---
+
+// A fresh gate's first draw fires under every tier but kOff.  Gates are made
+// per engine and per churn repair, so a walk drawn once per gate (the
+// engine's validate-entry walk, the repair's survivor walk) runs on every
+// call; sampling thins only a gate's later draws.
+TEST(ValidationGate, FirstDrawOfEveryGateFires) {
+  ExecConfig config;
+  config.validation_tier = ValidationTier::kSampled;
+  for (int gate = 0; gate < 3; ++gate) {
+    ValidationGate sampled = config.make_validation_gate();
+    EXPECT_TRUE(sampled.due()) << "gate " << gate;
+    for (int draw = 1; draw < ValidationGate::kSamplePeriod; ++draw) {
+      EXPECT_FALSE(sampled.due()) << "gate " << gate << " draw " << draw;
+    }
+    EXPECT_TRUE(sampled.due()) << "gate " << gate << " wraps";
+  }
+  ValidationGate every(ValidationTier::kEveryRound);
+  EXPECT_TRUE(every.due());
+  EXPECT_TRUE(every.due());
+  ValidationGate off(ValidationTier::kOff);
+  EXPECT_FALSE(off.due());
 }
 
 }  // namespace
