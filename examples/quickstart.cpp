@@ -33,8 +33,8 @@ int main() {
   }
   const SolveResult& result = outcome.result;
 
-  // 4. The service validated the coloring independently (outcome.valid);
-  //    double-check here for the reader.
+  // 4. The solver's final whole-solution check passed (outcome.valid);
+  //    run the same check here for the reader.
   std::string why;
   if (!outcome.valid || !is_valid_list_coloring(instance, result.colors, &why)) {
     std::printf("INVALID: %s\n", why.c_str());

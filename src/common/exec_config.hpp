@@ -152,12 +152,11 @@ struct ExecConfig {
 
   /// SolveService result cache (src/service/result_cache.hpp): completed Ok
   /// outcomes are memoized by request fingerprint behind an LRU bounded by
-  /// BOTH of these.  Identical submits are answered from the cache
-  /// bit-identically (same colors hash/rounds/ledger — the solve is
-  /// deterministic); in-flight identical submits share ONE solve via a
-  /// lease.  Either knob at <= 0 disables the cache.  Service layer only.
+  /// this many entries and by 64 MiB.  Identical submits are answered from
+  /// the cache bit-identically (same colors hash/rounds/ledger — the solve
+  /// is deterministic); in-flight identical submits share ONE solve via a
+  /// lease.  <= 0 disables the cache.  Service layer only.
   int max_cache_entries = 256;
-  std::size_t max_cache_bytes = 64ull << 20;
 
   /// SolveService admission control: with a positive depth, submits are
   /// rejected fast with SolveStatus::kQueueFull once the queue holds this
@@ -178,7 +177,7 @@ struct ExecConfig {
 
   /// True when the service layers a result cache over its queue.
   bool result_cache() const {
-    return max_cache_entries > 0 && max_cache_bytes > 0;
+    return max_cache_entries > 0;
   }
 
   /// True when this configuration shards a graph of `num_edges` edges; with

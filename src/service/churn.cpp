@@ -13,10 +13,6 @@
 
 namespace qplec {
 
-void validate_churn(const ListEdgeColoringInstance& base, const ChurnBatch& batch) {
-  validate_deltas(base.graph, batch.ops);
-}
-
 std::uint64_t chain_fingerprint(std::uint64_t base_fingerprint, const ChurnBatch& batch) {
   KeyHash fp;
   fp.mix(base_fingerprint);

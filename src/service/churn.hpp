@@ -56,11 +56,6 @@ struct ChurnSnapshot {
   Policy policy;
 };
 
-/// Validates `batch` against the snapshot's graph.  Throws
-/// std::invalid_argument (same taxonomy as plan_recolor) on the first
-/// inconsistent op.
-void validate_churn(const ListEdgeColoringInstance& base, const ChurnBatch& batch);
-
 /// The derived-fingerprint rule: the cache key of an update is
 /// KeyHash(base fingerprint, op count, each op's (insert, u, v)).  Pure and
 /// order-sensitive — two batches with the same ops in different order are

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/coloring/initial.hpp"
-#include "src/coloring/validate.hpp"
 #include "src/common/assert.hpp"
 #include "src/graph/io.hpp"
 #include "src/obs/trace.hpp"
@@ -27,6 +26,10 @@ namespace qplec {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Byte bound of the result cache and, separately, of the churn-snapshot
+/// registry.
+constexpr std::size_t kMaxCacheBytes = 64ull << 20;
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
@@ -281,7 +284,6 @@ SolveRequest& SolveRequest::no_cache() {
 /// holder, churn base), so a kept ticket pins only its outcome.
 struct SolveTicket::Job {
   SolveRequest request;
-  std::string label;  ///< copy of request.label_ for queue-side resolution
   Clock::time_point submit_time;
   SolveControl control;  ///< cancel flag / deadline / progress hook
 
@@ -296,8 +298,8 @@ struct SolveTicket::Job {
   // outcome of this job registers its snapshot under — set at submit
   // whenever the request is updatable (cacheable shape, colors kept, exact
   // solve), even when the result cache itself is configured off: update()
-  // works either way.  The worker fills `snapshot` in run_job/run_churn_job
-  // and registers it after the solve, outside the job mutex.
+  // works either way.  The worker fills `snapshot` in run_job and registers
+  // it after the solve, outside the job mutex.
   std::uint64_t snapshot_key = 0;
   std::shared_ptr<const ChurnSnapshot> snapshot;
 
@@ -312,11 +314,11 @@ struct SolveTicket::Job {
   /// expiry: label, queue_ms, the dequeue/terminal telemetry and the wakeup
   /// are accounted exactly like a worker-claimed job's — no exit path skips
   /// a field.
-  void resolve_queued_locked(SolveStatus status, const char* error_msg) {
+  void resolve_queued_locked(SolveStatus status, std::string error) {
     request.drop_payload();
     outcome.status = status;
-    outcome.error = error_msg;
-    outcome.label = label;
+    outcome.error = std::move(error);
+    outcome.label = request.label_;
     outcome.queue_ms = account_dequeue(submit_time);
     account_terminal(status);
     done = true;
@@ -331,7 +333,7 @@ struct SolveTicket::Job {
   /// the leader's.
   void resolve_cached_locked(SolveOutcome cached) {
     request.drop_payload();
-    cached.label = label;
+    cached.label = request.label_;
     cached.error.clear();
     cached.cache_hit = true;
     cached.queue_ms = account_dequeue(submit_time);
@@ -437,11 +439,10 @@ struct SolveService::Impl {
   std::list<std::uint64_t> snapshot_lru;  ///< front = most recently used
   std::size_t snapshot_bytes = 0;
   int snapshot_max_entries = 64;
-  std::size_t snapshot_max_bytes = 64ull << 20;
 
   void register_snapshot_locked(std::uint64_t key, std::shared_ptr<const ChurnSnapshot> snap) {
     const std::size_t need = estimate_snapshot_bytes(*snap);
-    if (need > snapshot_max_bytes) return;  // too large to ever retain
+    if (need > kMaxCacheBytes) return;  // too large to ever retain
     auto it = snapshots.find(key);
     if (it != snapshots.end()) {
       snapshot_bytes -= it->second.bytes;
@@ -450,7 +451,7 @@ struct SolveService::Impl {
     }
     while (!snapshot_lru.empty() &&
            (static_cast<int>(snapshots.size()) >= snapshot_max_entries ||
-            snapshot_bytes + need > snapshot_max_bytes)) {
+            snapshot_bytes + need > kMaxCacheBytes)) {
       const std::uint64_t victim = snapshot_lru.back();
       snapshot_lru.pop_back();
       auto vit = snapshots.find(victim);
@@ -496,13 +497,11 @@ SolveService::SolveService(ExecConfig config)
   obs::MetricsRegistry::global().set_enabled(config_.metrics);
   if (!config_.trace_path.empty()) trace::start(trace::kRingCapacity);
 
-  impl_->cache =
-      std::make_unique<ResultCache>(config_.max_cache_entries, config_.max_cache_bytes);
-  // The snapshot registry inherits the cache bounds when they are positive,
-  // but stays alive on its defaults when the result cache is configured off
-  // (update() does not depend on outcome caching).
+  impl_->cache = std::make_unique<ResultCache>(config_.max_cache_entries, kMaxCacheBytes);
+  // The snapshot registry inherits the cache's entry bound when it is
+  // positive, but stays alive on its default when the result cache is
+  // configured off (update() does not depend on outcome caching).
   if (config_.max_cache_entries > 0) impl_->snapshot_max_entries = config_.max_cache_entries;
-  if (config_.max_cache_bytes > 0) impl_->snapshot_max_bytes = config_.max_cache_bytes;
 
   // The shard-worker lease: one pool, sized once, shared by every solve this
   // service routes to the sharded backend.  The solve workers are plain
@@ -564,7 +563,6 @@ SolveTicket SolveService::submit(SolveRequest request) {
   const bool updatable = request.use_cache_ && job->control.on_round == nullptr &&
                          request.keep_colors_ && request.slack_ == 1.0;
   job->request = std::move(request);
-  job->label = job->request.label_;
 
   ServiceTelemetry& telemetry = ServiceTelemetry::get();
   // Every accepted submit — queued, cached, joined or shed — counts once in
@@ -579,6 +577,12 @@ SolveTicket SolveService::submit(SolveRequest request) {
     if (use_cache) job->cache_key = fp;
     if (updatable) job->snapshot_key = fp;
     job->outcome.fingerprint = fp;
+  }
+  // Stamped before any exit, so a shed or cancelled update names its base
+  // like one a worker ran.
+  if (job->request.source_ == SolveRequest::Source::kChurn) {
+    job->outcome.churn_update = true;
+    job->outcome.base_fingerprint = job->request.churn_base_key_;
   }
   if (use_cache) {
     ResultCache::Probe probe = impl_->cache->probe(job->cache_key, job);
@@ -900,10 +904,7 @@ void SolveService::timer_loop() {
 
 void SolveService::run_job(SolveTicket::Job& job) const {
   const SolveRequest& req = job.request;
-  if (req.source_ == SolveRequest::Source::kChurn) {
-    run_churn_job(job);
-    return;
-  }
+  const bool churn = req.source_ == SolveRequest::Source::kChurn;
   SolveOutcome& out = job.outcome;
   out.label = req.label_;
   // queue_ms was stamped by the claiming worker (the one dequeue point).
@@ -924,8 +925,9 @@ void SolveService::run_job(SolveTicket::Job& job) const {
   // Build the instance from whichever source the request named.  Malformed
   // input of any kind is an InvalidInstance outcome, never a throw.  An
   // instance source is solved in place: the request's holder is shared, not
-  // copied.
+  // copied.  A churn update's instance is its plan's mutated instance.
   std::shared_ptr<const ListEdgeColoringInstance> built;
+  RecolorPlan plan;
   const auto build_start = Clock::now();
   try {
     // A DIMACS build explains itself: build = read + parse + scramble + lists.
@@ -963,7 +965,9 @@ void SolveService::run_job(SolveTicket::Job& job) const {
         break;
       }
       case SolveRequest::Source::kChurn:
-        break;  // unreachable: dispatched to run_churn_job above
+        plan = plan_recolor(*req.churn_base_->instance, req.churn_base_->colors,
+                            req.churn_ops_.ops);
+        break;
     }
   } catch (const std::exception& e) {
     out.status = SolveStatus::kInvalidInstance;
@@ -971,7 +975,7 @@ void SolveService::run_job(SolveTicket::Job& job) const {
     return;
   }
   out.build_ms = ms_since(build_start);
-  const ListEdgeColoringInstance& instance = *built;
+  const ListEdgeColoringInstance& instance = churn ? plan.mutated : *built;
   out.num_nodes = instance.graph.num_nodes();
   out.num_edges = instance.graph.num_edges();
   out.max_degree = instance.graph.max_degree();
@@ -980,19 +984,31 @@ void SolveService::run_job(SolveTicket::Job& job) const {
 
   const ExecConfig exec = config_.with_pool(impl_->shard_pool);
   out.shards = exec.effective_shards(out.num_edges);
+  // update() carries the base's policy in the request.
   const Policy policy = req.source_ == SolveRequest::Source::kScenario
                             ? make_policy(req.scenario_.policy)
                             : req.policy_;
-  const Solver solver(policy, exec);
+  ServiceTelemetry& telemetry = ServiceTelemetry::get();
 
   const auto solve_start = Clock::now();
   try {
-    SolveResult res = req.slack_ > 1.0
-                          ? solver.solve_relaxed(instance, req.slack_, &job.control)
-                          : solver.solve(instance, &job.control);
+    SolveResult res;
+    if (churn) {
+      RecolorOutcome rec = repair_recolor(plan, policy, exec, &job.control);
+      out.repaired = !rec.fallback;
+      out.repair_region_edges = rec.region_edges;
+      (rec.fallback ? telemetry.update_fallback : telemetry.update_repaired).inc();
+      res = std::move(rec.result);
+    } else {
+      const Solver solver(policy, exec);
+      res = req.slack_ > 1.0 ? solver.solve_relaxed(instance, req.slack_, &job.control)
+                             : solver.solve(instance, &job.control);
+    }
     out.solve_ms = ms_since(solve_start);
     out.colors_hash = hash_coloring(res.colors);
-    out.valid = is_valid_list_coloring(instance, res.colors);
+    // Solver::run and repair_recolor end with expect_valid_solution, which
+    // throws on an invalid answer: reaching here is the check's verdict.
+    out.valid = true;
     if (job.snapshot_key != 0) {
       // Retain what update() chains from: the exact instance that was
       // solved (shared, never copied), its colors, and the policy that
@@ -1000,7 +1016,8 @@ void SolveService::run_job(SolveTicket::Job& job) const {
       auto snap = std::make_shared<ChurnSnapshot>();
       snap->colors = res.colors;
       snap->policy = policy;
-      snap->instance = built;
+      snap->instance =
+          churn ? std::make_shared<const ListEdgeColoringInstance>(std::move(plan.mutated)) : built;
       job.snapshot = std::move(snap);
     }
     if (!req.keep_colors_) {
@@ -1024,122 +1041,30 @@ void SolveService::run_job(SolveTicket::Job& job) const {
     out.status = SolveStatus::kInvariantViolation;
     out.error = e.what();
   }
-  // One solve span and one latency sample per *attempted* solve, whatever
-  // the terminal status (interrupted solves report the time they actually
-  // ran) — early exits above never reach here.
+  // One solve (or repair) span and one latency sample per *attempted* solve,
+  // whatever the terminal status (interrupted solves report the time they
+  // actually ran) — early exits above never reach here.
   if (trace::enabled()) {
     const auto us = static_cast<std::int64_t>(out.solve_ms * 1000.0);
-    trace::complete("solve", "service", trace::now_us() - us, us);
-  }
-  ServiceTelemetry::get().solve_latency_ms.observe(out.solve_ms);
-}
-
-/// The churn-update worker path: plan the mutation, repair (or fall back and
-/// re-solve), and capture the repaired state as the next snapshot in the
-/// chain.  Mirrors run_job's accounting exactly — same early exits, build/
-/// solve spans, metadata, hash/validity, exception taxonomy and latency
-/// sample — so an update's outcome is shaped like any other solve's.
-void SolveService::run_churn_job(SolveTicket::Job& job) const {
-  const SolveRequest& req = job.request;
-  SolveOutcome& out = job.outcome;
-  out.label = req.label_;
-  out.churn_update = true;
-  out.base_fingerprint = req.churn_base_key_;
-
-  if (job.control.cancel.load(std::memory_order_relaxed)) {
-    out.status = SolveStatus::kCancelled;
-    out.error = "cancelled before start";
-    return;
-  }
-  if (job.control.has_deadline && Clock::now() >= job.control.deadline) {
-    out.status = SolveStatus::kDeadlineExceeded;
-    out.error = "deadline expired while queued";
-    return;
-  }
-
-  const std::shared_ptr<const ChurnSnapshot> base = req.churn_base_;
-  RecolorPlan plan;
-  const auto build_start = Clock::now();
-  try {
-    const trace::Span build_span("build", "service");
-    plan = plan_recolor(*base->instance, base->colors, req.churn_ops_.ops);
-  } catch (const std::exception& e) {
-    out.status = SolveStatus::kInvalidInstance;
-    out.error = e.what();
-    return;
-  }
-  out.build_ms = ms_since(build_start);
-  out.num_nodes = plan.mutated.graph.num_nodes();
-  out.num_edges = plan.mutated.graph.num_edges();
-  out.max_degree = plan.mutated.graph.max_degree();
-  out.max_edge_degree = plan.mutated.graph.max_edge_degree();
-  out.palette_size = plan.mutated.palette_size;
-
-  const ExecConfig exec = config_.with_pool(impl_->shard_pool);
-  out.shards = exec.effective_shards(out.num_edges);
-  ServiceTelemetry& telemetry = ServiceTelemetry::get();
-
-  const auto solve_start = Clock::now();
-  try {
-    RecolorOutcome rec = repair_recolor(plan, base->policy, exec, &job.control);
-    out.solve_ms = ms_since(solve_start);
-    out.repaired = !rec.fallback;
-    out.repair_region_edges = rec.region_edges;
-    (rec.fallback ? telemetry.update_fallback : telemetry.update_repaired).inc();
-    out.colors_hash = hash_coloring(rec.result.colors);
-    out.valid = is_valid_list_coloring(plan.mutated, rec.result.colors);
-    if (job.snapshot_key != 0) {
-      auto snap = std::make_shared<ChurnSnapshot>();
-      snap->colors = rec.result.colors;
-      snap->policy = base->policy;
-      snap->instance = std::make_shared<const ListEdgeColoringInstance>(std::move(plan.mutated));
-      job.snapshot = std::move(snap);
-    }
-    out.result = std::move(rec.result);
-    out.status = SolveStatus::kOk;
-  } catch (const SolveInterrupted& e) {
-    out.solve_ms = ms_since(solve_start);
-    out.status = e.reason() == SolveInterrupted::Reason::kCancelled
-                     ? SolveStatus::kCancelled
-                     : SolveStatus::kDeadlineExceeded;
-    out.error = e.what();
-  } catch (const std::invalid_argument& e) {
-    out.solve_ms = ms_since(solve_start);
-    out.status = SolveStatus::kInvalidInstance;
-    out.error = e.what();
-  } catch (const std::exception& e) {
-    out.solve_ms = ms_since(solve_start);
-    out.status = SolveStatus::kInvariantViolation;
-    out.error = e.what();
-  }
-  if (trace::enabled()) {
-    const auto us = static_cast<std::int64_t>(out.solve_ms * 1000.0);
-    trace::complete("repair", "service", trace::now_us() - us, us);
+    trace::complete(churn ? "repair" : "solve", "service", trace::now_us() - us, us);
   }
   telemetry.solve_latency_ms.observe(out.solve_ms);
 }
 
-/// update() reject path: a ticket resolved kInvalidInstance right here, with
-/// the same accounting as submit's queue-side resolutions (counted in
-/// submitted/completed, enters and leaves the depth gauge once).
+/// update() reject path: a ticket resolved kInvalidInstance right here,
+/// counted like any submit and resolved like any queue-side exit.
 SolveTicket SolveService::reject_update(std::uint64_t base_fingerprint, const std::string& why) {
   auto job = std::make_shared<SolveTicket::Job>();
   job->submit_time = Clock::now();
-  job->label = "churn-update";
+  job->request.label_ = "churn-update";
+  job->outcome.churn_update = true;
+  job->outcome.base_fingerprint = base_fingerprint;
   submitted_.fetch_add(1, std::memory_order_relaxed);
   ServiceTelemetry::get().submitted.inc();
   ServiceTelemetry::get().queue_depth.add(1);
   {
     std::lock_guard<std::mutex> lock(job->mu);
-    job->outcome.churn_update = true;
-    job->outcome.base_fingerprint = base_fingerprint;
-    job->outcome.status = SolveStatus::kInvalidInstance;
-    job->outcome.error = why;
-    job->outcome.label = job->label;
-    job->outcome.queue_ms = account_dequeue(job->submit_time);
-    account_terminal(SolveStatus::kInvalidInstance);
-    job->done = true;
-    job->cv.notify_all();
+    job->resolve_queued_locked(SolveStatus::kInvalidInstance, why);
   }
   completed_.fetch_add(1, std::memory_order_relaxed);
   return SolveTicket(std::move(job));
@@ -1165,7 +1090,7 @@ SolveTicket SolveService::update(std::uint64_t base_fingerprint, ChurnBatch batc
                          "Ok yet, evicted, or invalidated)");
   }
   try {
-    validate_churn(*snap->instance, batch);
+    validate_deltas(snap->instance->graph, batch.ops);
   } catch (const std::exception& e) {
     return reject_update(base_fingerprint, e.what());
   }

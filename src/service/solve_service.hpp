@@ -130,13 +130,14 @@ struct SolveOutcome {
   int shards = 1;  ///< intra-instance shards the solve actually used
 
   std::uint64_t colors_hash = 0;  ///< FNV-1a coloring fingerprint (Ok only)
-  /// Re-validation of the output (Ok only): the same is_valid_list_coloring
-  /// the solver (or the churn repair) ran as its final check, run again on
-  /// the answer the service hands out.
+  /// Verdict of the solver's (or the churn repair's) final whole-solution
+  /// check, expect_valid_solution, which always runs: true on every Ok
+  /// outcome.  A failing check throws, and the outcome resolves
+  /// kInvariantViolation with valid == false.
   bool valid = false;
 
   double queue_ms = 0.0;  ///< submission -> start wait
-  double build_ms = 0.0;  ///< instance construction (scenario/file sources)
+  double build_ms = 0.0;  ///< instance construction (a churn update: its plan)
   double solve_ms = 0.0;  ///< the solve proper
 
   /// True when this outcome was served from the service's result cache (as a
@@ -381,7 +382,6 @@ class SolveService {
   void worker_loop();
   void timer_loop();
   void run_job(SolveTicket::Job& job) const;
-  void run_churn_job(SolveTicket::Job& job) const;
   void enqueue_job(std::shared_ptr<SolveTicket::Job> job);
   void settle_lease(SolveTicket::Job& leader, const SolveOutcome* ok_outcome);
   SolveTicket reject_update(std::uint64_t base_fingerprint, const std::string& why);

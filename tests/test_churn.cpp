@@ -326,7 +326,7 @@ TEST(Recolor, ValidateDeltasRejectsEveryInconsistency) {
   ASSERT_GE(au, 0);
 
   const auto expect_rejected = [&](const ChurnBatch& batch) {
-    EXPECT_THROW(validate_churn(make_two_delta_instance(g), batch), std::invalid_argument);
+    EXPECT_THROW(validate_deltas(g, batch.ops), std::invalid_argument);
   };
   expect_rejected(ChurnBatch{}.insert(0, g.num_nodes()));     // out of range
   expect_rejected(ChurnBatch{}.insert(-1, 1));                // out of range
@@ -335,8 +335,7 @@ TEST(Recolor, ValidateDeltasRejectsEveryInconsistency) {
   expect_rejected(ChurnBatch{}.remove(au, av));               // not present
   expect_rejected(ChurnBatch{}.insert(au, av).remove(av, au));   // duplicate pair
   // And the good ones pass.
-  validate_churn(make_two_delta_instance(g),
-                 ChurnBatch{}.insert(au, av).remove(existing.u, existing.v));
+  validate_deltas(g, ChurnBatch{}.insert(au, av).remove(existing.u, existing.v).ops);
 }
 
 // A 300k-op batch validates in linear time, and the first error it reports
@@ -448,7 +447,7 @@ TEST(Churn, RandomChurnIsDeterministicAndConsistent) {
     EXPECT_EQ(a.ops[i].u, b.ops[i].u);
     EXPECT_EQ(a.ops[i].v, b.ops[i].v);
   }
-  validate_churn(make_two_delta_instance(g), a);  // must not throw
+  validate_deltas(g, a.ops);  // must not throw
 }
 
 // -------------------------------------------------------- service update ---
@@ -464,11 +463,29 @@ ChurnBatch service_batch(const Scenario& s, std::uint64_t seed = 1234) {
   return make_random_churn(build_instance(s).graph, 4, 4, seed);
 }
 
+/// An Ok update's outcome is shaped like any other solve's: its metadata
+/// describes plan_recolor's mutated instance, it reports the shard count
+/// its config gives that instance, and it carries the update label, a build
+/// time (the plan) and the final check's verdict.
+void expect_update_shape(const SolveOutcome& out, const RecolorPlan& plan,
+                         const ExecConfig& config) {
+  EXPECT_EQ(out.num_nodes, plan.mutated.graph.num_nodes());
+  EXPECT_EQ(out.num_edges, plan.mutated.graph.num_edges());
+  EXPECT_EQ(out.max_degree, plan.mutated.graph.max_degree());
+  EXPECT_EQ(out.max_edge_degree, plan.mutated.graph.max_edge_degree());
+  EXPECT_EQ(out.palette_size, plan.mutated.palette_size);
+  EXPECT_EQ(out.shards, config.effective_shards(out.num_edges));
+  EXPECT_EQ(out.label, "churn-update");
+  EXPECT_GT(out.build_ms, 0.0);
+  EXPECT_TRUE(out.valid);
+}
+
 TEST(ServiceChurn, UpdateRepairsAndMatchesDirectRepair) {
   const Scenario s = service_scenario();
   const ChurnBatch batch = service_batch(s);
 
-  SolveService service(ExecConfig{.workers = 2});
+  const ExecConfig config{.workers = 2};
+  SolveService service(config);
   const auto before = service.metrics_snapshot();
   const SolveTicket base = service.submit(SolveRequest::from_scenario(s));
   const SolveOutcome& base_out = base.wait();
@@ -495,6 +512,7 @@ TEST(ServiceChurn, UpdateRepairsAndMatchesDirectRepair) {
   EXPECT_EQ(out.colors_hash, hash_coloring(rec.result.colors));
   EXPECT_EQ(out.result.colors, rec.result.colors);
   EXPECT_TRUE(is_valid_list_coloring(plan.mutated, out.result.colors));
+  expect_update_shape(out, plan, config);
 
   const auto after = service.metrics_snapshot();
   EXPECT_EQ(after.updates, before.updates + 1);
@@ -684,7 +702,7 @@ TEST(ServiceChurn, InconsistentBatchIsRejectedAtSubmit) {
   const SolveTicket base = service.submit(SolveRequest::from_scenario(s));
   ASSERT_TRUE(base.wait().ok());
 
-  // Removing an absent pair: validate_churn rejects before any job runs.
+  // Removing an absent pair: validate_deltas rejects before any job runs.
   const Graph& g = build_instance(s).graph;
   NodeId au = -1;
   NodeId av = -1;
@@ -702,6 +720,44 @@ TEST(ServiceChurn, InconsistentBatchIsRejectedAtSubmit) {
   EXPECT_EQ(out.status, SolveStatus::kInvalidInstance);
   EXPECT_TRUE(out.churn_update);
   EXPECT_NE(out.error.find("churn batch"), std::string::npos) << out.error;
+}
+
+// An update resolved on the queue side -- shed at max_queue_depth, or
+// cancelled before a worker claims it -- still names itself an update of
+// its base, like one a worker ran or update() rejected.
+TEST(ServiceChurn, QueueSideResolutionsKeepTheChurnFields) {
+  const Scenario s = service_scenario(111);
+  ExecConfig config;
+  config.workers = 1;
+  config.max_queue_depth = 1;
+  SolveService service(config);
+  const SolveTicket base = service.submit(SolveRequest::from_scenario(s));
+  ASSERT_TRUE(base.wait().ok()) << base.wait().error;
+  const std::uint64_t base_fp = base.wait().fingerprint;
+  ASSERT_NE(base_fp, 0u);
+
+  BlockerGate gate;
+  const SolveTicket blocker = service.submit(
+      SolveRequest::from_scenario(service_scenario(112)).on_round(gate.callback()));
+  gate.wait_entered();
+
+  // The one worker is parked: the first update takes the one queue slot and
+  // is cancelled there; the second finds the queue full and is shed.
+  const SolveTicket queued = service.update(base, service_batch(s, 1));
+  const SolveTicket shed = service.update(base, service_batch(s, 2));
+  queued.cancel();
+
+  const auto expect_update = [&](const SolveOutcome& out, SolveStatus status) {
+    EXPECT_EQ(out.status, status) << status_name(status);
+    EXPECT_TRUE(out.churn_update) << status_name(status);
+    EXPECT_EQ(out.base_fingerprint, base_fp) << status_name(status);
+    EXPECT_EQ(out.label, "churn-update") << status_name(status);
+  };
+  expect_update(shed.wait(), SolveStatus::kQueueFull);
+  expect_update(queued.wait(), SolveStatus::kCancelled);
+
+  gate.release();
+  ASSERT_TRUE(blocker.wait().ok()) << blocker.wait().error;
 }
 
 TEST(ServiceChurn, BudgetFallbackThroughServiceMatchesFromScratch) {
@@ -727,6 +783,7 @@ TEST(ServiceChurn, BudgetFallbackThroughServiceMatchesFromScratch) {
   const RecolorPlan plan = plan_recolor(instance, direct.colors, batch.ops);
   const SolveResult scratch = Solver(Policy::practical(), config).solve(plan.mutated);
   EXPECT_EQ(out.colors_hash, hash_coloring(scratch.colors));
+  expect_update_shape(out, plan, config);
 
   const auto metrics = service.metrics_snapshot();
   EXPECT_GE(metrics.updates_fallback, 1u);

@@ -7,7 +7,7 @@
 //      underlying solve; the N-1 waiters receive the leader's outcome.  A
 //      cancelled leader never decides a waiter's outcome — waiters fail over
 //      to a fresh solve.
-//   3. Boundedness: the LRU evicts at max_cache_entries/max_cache_bytes;
+//   3. Boundedness: the LRU evicts at its entry and byte bounds;
 //      invalidation forces a re-solve; failed solves never populate.
 //   4. Admission control: with max_queue_depth set, an over-capacity submit
 //      resolves kQueueFull immediately with queue_ms stamped.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs-drift guard: flags and links in docs/ must match reality.
+"""Docs-drift guard: flags, knobs and links in docs/ must match reality.
 
-Two checks:
+Three checks:
 
 1. Flag drift (default mode).  The flag reference in docs/SERVICE.md --
    everything between the `<!-- flags:begin -->` and `<!-- flags:end -->`
@@ -11,7 +11,13 @@ Two checks:
    docs but not in any binary fails.  Both binaries print usage to
    stderr and exit 2; that is expected and accepted.
 
-2. Link integrity (always).  Every relative markdown link in every
+2. Knob drift (always).  The ExecConfig knob table in docs/SERVICE.md --
+   the rows between the `<!-- knobs:begin -->` and `<!-- knobs:end -->`
+   markers -- must name EXACTLY the data members of `struct ExecConfig`
+   in src/common/exec_config.hpp, both directions: a member missing from
+   the table fails, and a row naming no member fails.
+
+3. Link integrity (always).  Every relative markdown link in every
    tracked *.md file must resolve to an existing file or directory.
    http(s)/mailto links and pure #anchors are skipped; a #fragment on a
    relative link is stripped before the existence check.  And every
@@ -39,6 +45,10 @@ MD_MENTION_RE = re.compile(r"(?<![\w/.-])((?:[\w.-]+/)*[\w-]+\.md)\b")
 CODE_DIRS = ("src", "tests", "examples", "bench")
 BEGIN_MARK = "<!-- flags:begin -->"
 END_MARK = "<!-- flags:end -->"
+KNOBS_BEGIN = "<!-- knobs:begin -->"
+KNOBS_END = "<!-- knobs:end -->"
+KNOB_ROW_RE = re.compile(r"^\|\s*`(\w+)`\s*\|", re.MULTILINE)
+EXEC_CONFIG_HPP = pathlib.Path("src") / "common" / "exec_config.hpp"
 # Directories that hold generated or vendored trees, never our docs.
 SKIP_DIRS = {".git", "build", "_deps", ".cache"}
 
@@ -58,13 +68,63 @@ def help_flags(binary):
     return set(FLAG_RE.findall(text))
 
 
+def marked_section(path, begin, end):
+    """The text of `path` between the `begin` and `end` markers."""
+    text = path.read_text(encoding="utf-8")
+    if begin not in text or end not in text:
+        raise RuntimeError(f"{path} lacks the {begin} / {end} markers")
+    return text.split(begin, 1)[1].split(end, 1)[0]
+
+
 def docs_flags(service_md):
     """The set of --flags listed between the flags:begin/end markers."""
-    text = service_md.read_text(encoding="utf-8")
-    if BEGIN_MARK not in text or END_MARK not in text:
-        raise RuntimeError(f"{service_md} lacks the {BEGIN_MARK} / {END_MARK} markers")
-    section = text.split(BEGIN_MARK, 1)[1].split(END_MARK, 1)[0]
-    return set(FLAG_RE.findall(section))
+    return set(FLAG_RE.findall(marked_section(service_md, BEGIN_MARK, END_MARK)))
+
+
+def struct_members(header, struct):
+    """Names of the data members of `struct NAME { ... };` in a C++ header.
+
+    Comments are stripped and every nested brace pair (member function
+    bodies, brace initializers) collapses into a `;`, innermost first, so
+    the struct's own closing brace is the first one left.  A declaration
+    whose text before its first `=` holds a `(` is a member function;
+    every other one is a data member, named by its last identifier there.
+    """
+    text = re.sub(r"//[^\n]*|/\*.*?\*/", "", header.read_text(encoding="utf-8"),
+                  flags=re.DOTALL)
+    m = re.search(r"\bstruct\s+" + re.escape(struct) + r"\s*\{", text)
+    if m is None:
+        raise RuntimeError(f"{header} has no `struct {struct} {{`")
+    body = text[m.end():]
+    nested = re.compile(r"\{[^{}]*\}")
+    while nested.search(body):
+        body = nested.sub(";", body)
+    members = []
+    for decl in body.split("}", 1)[0].split(";"):
+        head = decl.split("=", 1)[0]
+        names = re.findall(r"\w+", head)
+        if "(" not in head and len(names) >= 2:
+            members.append(names[-1])
+    return members
+
+
+def check_knobs(repo):
+    try:
+        members = struct_members(repo / EXEC_CONFIG_HPP, "ExecConfig")
+        section = marked_section(repo / "docs" / "SERVICE.md", KNOBS_BEGIN, KNOBS_END)
+    except (RuntimeError, OSError) as e:
+        return fail(str(e))
+    documented = KNOB_ROW_RE.findall(section)
+    errors = 0
+    for knob in sorted(set(members) - set(documented)):
+        errors += fail(f"ExecConfig::{knob} is missing from the docs/SERVICE.md knob "
+                       f"table (between the knobs:begin/end markers)")
+    for knob in sorted(set(documented) - set(members)):
+        errors += fail(f"docs/SERVICE.md documents knob `{knob}`, which is not a "
+                       f"member of ExecConfig ({EXEC_CONFIG_HPP})")
+    if errors == 0:
+        print(f"check_docs: knobs OK ({len(members)} ExecConfig members, docs == struct)")
+    return errors
 
 
 def check_flags(repo, cli_solve, batch_solve):
@@ -154,7 +214,7 @@ def main():
     args = ap.parse_args()
 
     repo = args.repo.resolve()
-    errors = check_links(repo) + check_code_mentions(repo)
+    errors = check_links(repo) + check_code_mentions(repo) + check_knobs(repo)
     if not args.links_only:
         if not args.cli_solve or not args.batch_solve:
             return fail("full mode needs --cli-solve and --batch-solve "
